@@ -253,16 +253,16 @@ def helstrom_success_pair(overlap: float, eta1: float, eta2: float) -> SuccessPa
         p_i = (1 + (1 - 2 eta_j s^2) / sqrt(1 - 4 eta1 eta2 s^2)) / 2
 
     The pair saturates distinguishability(p1, p2) = overlap and averages to
-    ``helstrom_bound``. The 0/0 limit at overlap = 1 with equal priors is
-    resolved by continuity as p1 = p2 = 1/2.
+    ``helstrom_bound``. At overlap = 1 the measurement is pure guessing,
+    returned exactly: the likelier state always, or p1 = p2 = 1/2 on a tie.
     """
     overlap = _check_unit_interval("overlap", overlap)
+    if overlap == 1.0:
+        if eta1 == eta2:
+            return SuccessPair(0.5, 0.5)
+        return SuccessPair(1.0, 0.0) if eta1 > eta2 else SuccessPair(0.0, 1.0)
     s2 = overlap * overlap
-    disc = 1.0 - 4.0 * eta1 * eta2 * s2
-    if disc <= 0.0:
-        # Only reachable at overlap = 1 with equal priors: pure guessing.
-        return SuccessPair(0.5, 0.5)
-    root = math.sqrt(disc)
+    root = math.sqrt(1.0 - 4.0 * eta1 * eta2 * s2)
     p1 = 0.5 * (1.0 + (1.0 - 2.0 * eta2 * s2) / root)
     p2 = 0.5 * (1.0 + (1.0 - 2.0 * eta1 * s2) / root)
     return SuccessPair(min(max(p1, 0.0), 1.0), min(max(p2, 0.0), 1.0))

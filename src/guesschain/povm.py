@@ -1,21 +1,29 @@
 """Explicit 2x2 detection operators realizing a chain strategy.
 
-Each receiver's measurement is described by two detection (Kraus) operators
-B1, B2 with POVM elements Pi_i = B_i^dag B_i. For an incoming pair
-(|psi1>, |psi2>) and outgoing pair (|v1>, |v2>) the pure-output measurement is
-fixed by its action on the incoming (generally non-orthogonal) basis:
+Each receiver's measurement is two real detection (Kraus) operators B1, B2
+with POVM elements Pi_i = B_i^T B_i. Stages live in the canonical real frame:
+the incoming pair is |psi1,2> = cos(a)|0> +- sin(a)|1> with cos(2a) = t_in
+(``make_state_pair``), the outgoing pair (|v1>, |v2>) is the canonical pair
+of overlap t_out, and the measurement is fixed by its action
 
     B1 |psi1> = sqrt(p1)     |v1>      B1 |psi2> = sqrt(1 - p2) |v2>
     B2 |psi1> = sqrt(1 - p1) |v1>      B2 |psi2> = sqrt(p2)     |v2>
 
-i.e. the outcome label carries the receiver's guess while the output state
-depends only on which state came in, so downstream receivers again face two
-pure states. Expanding each B_i in the reciprocal (dual) basis of
-{|psi1>, |psi2>} makes the operators unique whenever the incoming pair is
-linearly independent. Completeness B1^dag B1 + B2^dag B2 = I then holds
-exactly when the overlap budget is respected:
+so the outcome carries the guess while the output depends only on which
+state came in, and downstream receivers again face two pure states. The
+columns of the stacked 4x2 matrix [B1; B2] are the images of psi1 + psi2
+(along |0>) and of psi1 - psi2 (along |1>), rescaled. Completeness
+B1^T B1 + B2^T B2 = I says that [B1; B2] is an isometry, which holds exactly
+when the overlap budget is respected:
 
     distinguishability(p1, p2) * <v1|v2> = <psi1|psi2>
+
+``build_stage`` checks the budget to FEASIBILITY_ATOL and takes up its
+rounding with one Newton step on the amplitudes, if that moves them by at
+most STAGE_ATOL. It then scales both columns to unit length and takes one
+Gram-Schmidt step, so completeness holds to rounding. Identical inputs have
+no psi1 - psi2; their second column is the unit column perpendicular to the
+first within each detector.
 
 Overlaps are taken real and non-negative throughout; states are compared up
 to a global phase, with the canonical representative fixing the first nonzero
@@ -33,6 +41,7 @@ from .core import (
     DiscriminationInstance,
     StrategyResult,
     SuccessPair,
+    _check_unit_interval,
     distinguishability,
 )
 
@@ -160,28 +169,9 @@ class MeasurementStage:
             )
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    """The state orthogonal to v (2-vector)."""
-    return np.array([-np.conj(v[1]), np.conj(v[0])])
-
-
-def _dual_basis(psi1: np.ndarray, psi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reciprocal basis (d1, d2) with <d_i|psi_j> = delta_ij.
-
-    d1 is the state orthogonal to psi2 rescaled against psi1, and vice versa;
-    these are exactly the expansion bras of the stage construction above.
-    """
-    d1 = _perp(psi2)
-    d2 = _perp(psi1)
-    return d1 / np.vdot(d1, psi1).conj(), d2 / np.vdot(d2, psi2).conj()
-
-
-def build_stage(
-    in_pair: tuple[QubitState, QubitState],
-    success: SuccessPair,
-    out_overlap: float,
-) -> MeasurementStage:
-    """Detection operators realizing ``success`` on ``in_pair``.
+def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> MeasurementStage:
+    """Detection operators realizing ``success`` on the canonical pair of
+    overlap ``in_overlap``.
 
     The outgoing pair is the canonical pair of overlap ``out_overlap`` (the
     output orientation is free; fixing it keeps stages composable and tests
@@ -190,16 +180,13 @@ def build_stage(
     by more than 1e-9, and DegenerateInput when identical input states are
     asked to produce distinct outputs.
     """
-    if not (math.isfinite(out_overlap) and -1e-12 <= out_overlap <= 1.0 + 1e-12):
-        raise ValueError(f"out_overlap must lie in [0, 1], got {out_overlap!r}")
-    out_overlap = min(max(out_overlap, 0.0), 1.0)
-    psi1, psi2 = in_pair[0].vector, in_pair[1].vector
-    in_overlap = float(abs(np.vdot(psi1, psi2)))
+    in_overlap = _check_unit_interval("in_overlap", in_overlap)
+    out_overlap = _check_unit_interval("out_overlap", out_overlap)
     p1, p2 = success
-
-    if in_overlap >= 1.0 - 1e-12:
-        # Identical inputs: only an output-merging stage is possible, and the
-        # budget (distinguishability must equal 1) forces p2 = 1 - p1.
+    identical = in_overlap >= 1.0 - 1e-12
+    if identical:
+        # Only an output-merging stage is possible, and the budget
+        # (distinguishability must equal 1) forces p2 = 1 - p1.
         if out_overlap < 1.0 - 1e-12:
             raise DegenerateInput(
                 "identical input states cannot be split into distinct outputs"
@@ -209,37 +196,48 @@ def build_stage(
                 f"success pair {success} incompatible with identical inputs "
                 "(needs p2 = 1 - p1)"
             )
-        v = make_state_pair(1.0)[0].vector
-        rot = np.outer(v, psi1.conj()) + np.outer(_perp(v), _perp(psi1).conj())
-        b1 = math.sqrt(p1) * rot
-        b2 = math.sqrt(1.0 - p1) * rot
-        stage = MeasurementStage(
-            detectors=(b1, b2),
-            outputs=make_state_pair(1.0),
-            success=success,
-            in_overlap=in_overlap,
-            out_overlap=1.0,
-        )
-        stage.validate()
-        return stage
-
-    required = distinguishability(p1, p2) * out_overlap
-    if abs(required - in_overlap) > FEASIBILITY_ATOL:
-        raise InfeasibleStage(
-            f"overlap budget violated: distinguishability * t_out = {required!r} "
-            f"but t_in = {in_overlap!r}"
-        )
-    v1, v2 = make_state_pair(out_overlap)
-    d1, d2 = _dual_basis(psi1, psi2)
-    b1 = math.sqrt(p1) * np.outer(v1.vector, d1.conj()) + math.sqrt(
-        max(0.0, 1.0 - p2)
-    ) * np.outer(v2.vector, d2.conj())
-    b2 = math.sqrt(max(0.0, 1.0 - p1)) * np.outer(v1.vector, d1.conj()) + math.sqrt(
-        p2
-    ) * np.outer(v2.vector, d2.conj())
+        out_overlap = 1.0
+        miss = 0.0
+    else:
+        required = distinguishability(p1, p2) * out_overlap
+        miss = in_overlap - required
+        if abs(miss) > FEASIBILITY_ATOL:
+            raise InfeasibleStage(
+                f"overlap budget violated: distinguishability * t_out = {required!r} "
+                f"but t_in = {in_overlap!r}"
+            )
+    outputs = make_state_pair(out_overlap)
+    c, s = (z.real for z in outputs[0].amplitudes)
+    r1, w1 = math.sqrt(p1), math.sqrt(max(0.0, 1.0 - p1))
+    r2, w2 = math.sqrt(p2), math.sqrt(max(0.0, 1.0 - p2))
+    # Rounding left in the budget goes into the amplitudes (one Newton step on
+    # the angles of (r1, w1) and (w2, r2)) rather than into the direction of a
+    # small image, unless that moves them by more than STAGE_ATOL.
+    slope = 2.0 * out_overlap * (r1 * r2 - w1 * w2)
+    step = miss / slope if slope else 0.0
+    if abs(step) <= STAGE_ATOL:
+        r1, w1, r2, w2 = r1 - step * w1, w1 + step * r1, r2 - step * w2, w2 + step * r2
+    # Images of psi1 + psi2 and psi1 - psi2 under [B1; B2], from
+    # [B1; B2] psi1 = [r1 v1; w1 v1] and [B1; B2] psi2 = [w2 v2; r2 v2],
+    # where v1,2 = (c, +-s).
+    even = ((r1 + w2) * c, (r1 - w2) * s, (w1 + r2) * c, (w1 - r2) * s)
+    odd = ((r1 - w2) * c, (r1 + w2) * s, (w1 - r2) * c, (w1 + r2) * s)
+    norm = math.hypot(*even)
+    even = [x / norm for x in even]
+    dot = sum(x * y for x, y in zip(even, odd))
+    odd = [y - dot * x for x, y in zip(even, odd)]
+    norm = math.hypot(*odd)
+    if identical or norm == 0.0:
+        # psi1 - psi2 has no image to follow: take the unit column
+        # perpendicular to the first within each detector's block.
+        odd, norm = [-even[1], even[0], -even[3], even[2]], 1.0
+    odd = [x / norm for x in odd]
     stage = MeasurementStage(
-        detectors=(b1, b2),
-        outputs=(v1, v2),
+        detectors=(
+            ((even[0], odd[0]), (even[1], odd[1])),
+            ((even[2], odd[2]), (even[3], odd[3])),
+        ),
+        outputs=outputs,
         success=success,
         in_overlap=in_overlap,
         out_overlap=out_overlap,
@@ -269,7 +267,7 @@ def build_chain(inst: DiscriminationInstance, result: StrategyResult) -> list[Me
         t_in = result.overlaps[k]
         t_out = result.overlaps[k + 1] if k + 1 < inst.n_receivers else 1.0
         try:
-            stages.append(build_stage(make_state_pair(t_in), success, t_out))
-        except (InfeasibleStage, DegenerateInput) as exc:
+            stages.append(build_stage(t_in, success, t_out))
+        except ValueError as exc:
             raise type(exc)(f"stage {k + 1} of {inst.n_receivers}: {exc}") from exc
     return stages

@@ -171,21 +171,18 @@ def run_chain_simulation(
     )
 
 
-def verify_posterior_purity(
-    stages: list[MeasurementStage], cfg: SimConfig | None = None
-) -> bool:
+def verify_posterior_purity(stages: list[MeasurementStage]) -> bool:
     """Check that every non-final stage emits its declared pure output.
 
     Walks both prepared states through the chain and, at every non-final
     stage, checks both measurement outcomes: whenever an outcome can occur,
     the normalized post-measurement state must match the stage's declared
     output for the incoming state index with fidelity >= 1 - 1e-9. The walk
-    enumerates every reachable branch (a superset of what any sampled run
-    would visit), so ``cfg`` is accepted only for interface symmetry.
+    enumerates every reachable branch, a superset of what any sampled run
+    would visit.
 
     Returns False (with logged diagnostics) on the first offending stage.
     """
-    del cfg
     if not stages:
         return True
     ok = True

@@ -236,6 +236,10 @@ class TestHelstromPair:
     def test_degenerate_identical_states_equal_priors(self):
         assert helstrom_success_pair(1.0, 0.5, 0.5) == (0.5, 0.5)
 
+    def test_identical_states_guess_the_likelier_exactly(self):
+        assert helstrom_success_pair(1.0, 0.3, 0.7) == (0.0, 1.0)
+        assert helstrom_success_pair(1.0, 0.7, 0.3) == (1.0, 0.0)
+
 
 class TestIndividualGreedy:
     def test_equal_priors_reduce_to_symmetric_point(self):

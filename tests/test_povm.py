@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesschain import (
     DegenerateInput,
     DiscriminationInstance,
     InfeasibleStage,
+    MeasurementStage,
     QubitState,
     SuccessPair,
     build_chain,
@@ -62,19 +65,19 @@ class TestQubitState:
 
 
 def _feasible_stage_inputs(rng):
-    """Random feasible (in_pair, success, out_overlap) triple."""
+    """Random feasible (in_overlap, success, out_overlap) triple."""
     s_eff = float(rng.uniform(0.0, 1.0))
     out = float(rng.uniform(0.0, 1.0))
     theta = float(rng.uniform(0.0, math.asin(s_eff) if s_eff > 0 else 0.0))
     p1 = math.cos(theta) ** 2
     p2 = p2_from_p1(p1, s_eff)
     in_overlap = s_eff * out
-    return make_state_pair(in_overlap), SuccessPair(p1, p2), out
+    return in_overlap, SuccessPair(p1, p2), out
 
 
 class TestBuildStage:
     def test_projective_on_orthogonal_inputs(self):
-        stage = build_stage(make_state_pair(0.0), SuccessPair(1.0, 1.0), 0.0)
+        stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
         b1, b2 = stage.detectors
         psi1, psi2 = make_state_pair(0.0)
         np.testing.assert_allclose(b1 @ psi1.vector, stage.outputs[0].vector, atol=1e-12)
@@ -86,7 +89,7 @@ class TestBuildStage:
     def test_symmetric_stage_invariants(self):
         p = 0.8535533905932737  # equal-prior point for budget sqrt(0.5)
         stage = build_stage(
-            make_state_pair(0.5), SuccessPair(p, p), math.sqrt(0.5)
+            0.5, SuccessPair(p, p), math.sqrt(0.5)
         )
         stage.validate()
         assert stage.out_overlap == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -94,10 +97,10 @@ class TestBuildStage:
     def test_born_rule_reproduces_success_pair(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            in_pair, success, out = _feasible_stage_inputs(rng)
-            stage = build_stage(in_pair, success, out)
+            in_overlap, success, out = _feasible_stage_inputs(rng)
+            stage = build_stage(in_overlap, success, out)
             b1, b2 = stage.detectors
-            psi1, psi2 = in_pair
+            psi1, psi2 = make_state_pair(in_overlap)
             got1 = np.vdot(psi1.vector, (b1.conj().T @ b1) @ psi1.vector).real
             got2 = np.vdot(psi2.vector, (b2.conj().T @ b2) @ psi2.vector).real
             assert got1 == pytest.approx(success.p1, abs=1e-10)
@@ -106,9 +109,9 @@ class TestBuildStage:
     def test_posterior_is_pure_for_both_outcomes(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            in_pair, success, out = _feasible_stage_inputs(rng)
-            stage = build_stage(in_pair, success, out)
-            for state, expected in zip(in_pair, stage.outputs):
+            in_overlap, success, out = _feasible_stage_inputs(rng)
+            stage = build_stage(in_overlap, success, out)
+            for state, expected in zip(make_state_pair(in_overlap), stage.outputs):
                 for detector in stage.detectors:
                     image = detector @ state.vector
                     norm = np.linalg.norm(image)
@@ -118,19 +121,19 @@ class TestBuildStage:
                     assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_budget_violations(self):
-        in_pair, success, out = make_state_pair(0.5), SuccessPair(0.8, 0.9), None
+        in_overlap, success, out = 0.5, SuccessPair(0.8, 0.9), None
         budget = distinguishability(0.8, 0.9)
         exact_out = 0.5 / budget
-        build_stage(in_pair, success, exact_out)  # feasible
+        build_stage(in_overlap, success, exact_out)  # feasible
         for off in (1e-6, -1e-6):
             with pytest.raises(InfeasibleStage):
-                build_stage(in_pair, success, exact_out * (1.0 + off * 50))
+                build_stage(in_overlap, success, exact_out * (1.0 + off * 50))
         # perturbing the success pair instead of the overlap also rejects
         with pytest.raises(InfeasibleStage):
-            build_stage(in_pair, SuccessPair(0.8 + 1e-4, 0.9), exact_out)
+            build_stage(in_overlap, SuccessPair(0.8 + 1e-4, 0.9), exact_out)
 
     def test_identical_inputs_merge_or_reject(self):
-        stage = build_stage(make_state_pair(1.0), SuccessPair(0.5, 0.5), 1.0)
+        stage = build_stage(1.0, SuccessPair(0.5, 0.5), 1.0)
         b1, b2 = stage.detectors
         gram = b1.conj().T @ b1 + b2.conj().T @ b2
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-14)
@@ -139,15 +142,20 @@ class TestBuildStage:
             np.linalg.norm(b1 @ psi), math.sqrt(0.5), atol=1e-12
         )
         with pytest.raises(DegenerateInput):
-            build_stage(make_state_pair(1.0), SuccessPair(0.5, 0.5), 0.7)
+            build_stage(1.0, SuccessPair(0.5, 0.5), 0.7)
         with pytest.raises(InfeasibleStage):
-            build_stage(make_state_pair(1.0), SuccessPair(0.9, 0.9), 1.0)
+            build_stage(1.0, SuccessPair(0.9, 0.9), 1.0)
+
+    def test_nearly_identical_inputs_merged_without_learning(self):
+        # psi1 - psi2 has no image here, as for identical inputs
+        stage = build_stage(1.0 - 1e-10, SuccessPair(0.5, 0.5), 1.0)
+        stage.validate()
 
     def test_pinned_success_stage(self):
         # p2 = 1 forces p1 = 1 - s_eff^2; the guess-2 detector is rank one
         s_eff = 0.6
         stage = build_stage(
-            make_state_pair(s_eff), SuccessPair(1.0 - s_eff**2, 1.0), 1.0
+            s_eff, SuccessPair(1.0 - s_eff**2, 1.0), 1.0
         )
         stage.validate()
         assert np.linalg.matrix_rank(stage.detectors[0], tol=1e-12) == 1
@@ -204,6 +212,20 @@ class TestBuildChain:
                 for stage in stages:
                     stage.validate()
 
+    def test_every_error_names_its_stage(self, monkeypatch):
+        calls = []
+
+        def fail_second(stage):
+            calls.append(stage)
+            if len(calls) == 2:
+                raise ValueError("completeness violated: injected")
+
+        monkeypatch.setattr(MeasurementStage, "validate", fail_second)
+        inst = DiscriminationInstance(0.5, 0.3, n_receivers=3)
+        with pytest.raises(ValueError, match=r"^stage 2 of 3: completeness violated") as info:
+            build_chain(inst, optimize_reduced(inst))
+        assert type(info.value) is ValueError
+
     def test_mismatched_strategy_rejected(self):
         inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
         with pytest.raises(ValueError):
@@ -212,14 +234,69 @@ class TestBuildChain:
             build_chain(inst, equal_prior_jbg(0.5, 3))
 
 
+def _completeness_defect(stage):
+    b1, b2 = stage.detectors
+    return float(np.max(np.abs(b1.conj().T @ b1 + b2.conj().T @ b2 - np.eye(2))))
+
+
+SOLVERS = (optimize_reduced, individual_greedy, boundary_solution)
+
+
+class TestChainConditioning:
+    """Chains stay complete to rounding however close the overlaps come to 1."""
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("prior", (0.0, 0.3, 0.55, 1.0))
+    @pytest.mark.parametrize("overlap", (0.3, 0.99, 1.0 - 1e-6, 1.0 - 1e-9))
+    @pytest.mark.parametrize("n", (1, 2, 8, 200))
+    def test_grid_builds_and_validates(self, n, overlap, prior, solver):
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        stages = build_chain(inst, solver(inst))
+        assert len(stages) == n
+        for stage in stages:
+            stage.validate()
+
+    @pytest.mark.parametrize(
+        "overlap, prior",
+        [
+            (0.08473655726762153, 0.9999995634989607),
+            (0.6264727357908632, 0.9999997715799165),
+            (0.3031410296499387, 7.239285532933346e-07),
+        ],
+    )
+    def test_small_images_keep_their_direction(self, overlap, prior):
+        # Greedy pairs with 1 - p ~ 1e-14: the budget's rounding miss must not
+        # tilt the ~1e-7 image of the likelier state under the other detector.
+        inst = DiscriminationInstance(overlap, prior, n_receivers=2)
+        for stage in build_chain(inst, individual_greedy(inst)):
+            stage.validate()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 200),
+        overlap=st.floats(0.0, 1.0),
+        prior=st.floats(0.0, 1.0),
+        solver=st.sampled_from(SOLVERS),
+    )
+    def test_built_or_rejected_by_stage(self, n, overlap, prior, solver):
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        try:
+            stages = build_chain(inst, solver(inst))
+        except ValueError as exc:
+            assert f" of {n}: " in str(exc) and str(exc).startswith("stage ")
+            assert "completeness violated" not in str(exc)
+            return
+        for stage in stages:
+            stage.validate()
+            assert _completeness_defect(stage) <= 1e-14
+
+
 class TestStageValidation:
     def test_tampered_detector_is_caught(self):
         inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
         stage = build_chain(inst, optimize_reduced(inst))[0]
         bad = np.array(stage.detectors[0], copy=True)
         bad[0, 0] += 1e-3
-        from guesschain import MeasurementStage
-
         tampered = MeasurementStage(
             detectors=(bad, stage.detectors[1]),
             outputs=stage.outputs,
@@ -231,6 +308,6 @@ class TestStageValidation:
             tampered.validate()
 
     def test_detectors_are_read_only(self):
-        stage = build_stage(make_state_pair(0.0), SuccessPair(1.0, 1.0), 0.0)
+        stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             stage.detectors[0][0, 0] = 5.0
