@@ -27,9 +27,7 @@ print(f"instance: overlap={inst.overlap}, priors=({inst.prior_1}, {inst.prior_2}
 print(f"predicted joint success: {result.joint_success:.6f}")
 print(f"posterior purity along the chain: {verify_posterior_purity(stages)}\n")
 
-report = run_chain_simulation(
-    inst, stages, SimConfig(seed=7, trials=1_000_000, record_per_receiver=True)
-)
+report = run_chain_simulation(inst, stages, SimConfig(seed=7, trials=1_000_000))
 print(f"simulated {report.trials:,} rounds with {report.prng}, seed {report.seed}")
 print(f"  prepared-state counts: {report.per_state_counts}")
 print(f"  empirical joint success: {report.empirical_joint:.6f} "

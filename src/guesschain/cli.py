@@ -219,7 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
     try:
-        cfg = SimConfig(seed=args.seed, trials=args.trials, record_per_receiver=True)
+        cfg = SimConfig(seed=args.seed, trials=args.trials)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = _solve(inst, _parse_strategy(args.strategy))

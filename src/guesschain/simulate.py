@@ -10,10 +10,15 @@ for the pure-output stages built by ``povm.build_chain``.
 
 Randomness contract: draws come from the counter-based Philox 4x64 generator
 keyed by the seed, consumed in trial-major order -- trial i uses draws
-i*(N+1) .. i*(N+1)+N (one for the prepared state, one per stage). Any
-parallel split over trials must assign whole trials by index (Philox supports
-O(1) skipping), so results are reproducible bit-for-bit and independent of
-worker count. The generator name is recorded in the report.
+i*(N+1) .. i*(N+1)+N (one for the prepared state, one per stage). Trials are
+walked in consecutive chunks of at most ``CHUNK_TRIALS`` whole trials, each
+drawing its rows from the same generator; consecutive Philox draws reproduce
+one large draw exactly, and only integer counters cross chunk boundaries, so
+the report does not depend on the chunk size and peak memory does not depend
+on the trial count. Any parallel split over trials must likewise assign whole
+trials by index (Philox supports O(1) skipping), so results are reproducible
+bit-for-bit and independent of worker count. The generator name is recorded in
+the report.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .core import DiscriminationInstance
 from .povm import MeasurementStage, make_state_pair
 
 __all__ = [
+    "CHUNK_TRIALS",
     "NumericalUnderflow",
     "PRNG_NAME",
     "SimConfig",
@@ -39,6 +45,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PRNG_NAME = "philox4x64"
+
+# Trials walked per chunk: bounds the draw matrix and the state arrays, whose
+# size would otherwise grow with the trial count (~240 B per trial).
+CHUNK_TRIALS = 1 << 14
 
 # Squared norms more negative than this indicate a broken stage, not roundoff.
 UNDERFLOW_SLACK = -1e-12
@@ -52,11 +62,10 @@ class NumericalUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trial count, seed, and optional per-receiver bookkeeping."""
+    """Trial count and seed."""
 
     seed: int
     trials: int = 1_000_000
-    record_per_receiver: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -83,7 +92,7 @@ class SimReport:
     predicted_joint: float
     z_score: float
     per_state_counts: tuple[int, int]
-    per_receiver_success: tuple[tuple[float, float], ...] | None
+    per_receiver_success: tuple[tuple[float, float], ...]
     prng: str
     seed: int
 
@@ -101,62 +110,69 @@ def run_chain_simulation(
     stages: list[MeasurementStage],
     cfg: SimConfig,
 ) -> SimReport:
-    """Simulate the whole chain for cfg.trials seeded trials."""
+    """Simulate the whole chain for cfg.trials seeded trials, CHUNK_TRIALS at a time."""
     if len(stages) != inst.n_receivers:
         raise ValueError(f"{len(stages)} stages for {inst.n_receivers} receivers")
     n = inst.n_receivers
     trials = cfg.trials
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    draws = rng.random((trials, n + 1))
-
     pair = make_state_pair(inst.overlap)
     basis = np.stack([pair[0].vector, pair[1].vector])
-    sent = (draws[:, 0] >= inst.prior_1).astype(np.int8)  # 0 -> state 1, 1 -> state 2
-    current = basis[sent]
 
-    all_correct = np.ones(trials, dtype=bool)
-    per_receiver = []
-    for k, stage in enumerate(stages):
-        b1, b2 = stage.detectors
-        out1 = current @ b1.T
-        out2 = current @ b2.T
-        q1 = np.einsum("ij,ij->i", out1, out1.conj()).real
-        q2 = np.einsum("ij,ij->i", out2, out2.conj()).real
-        if float(q1.min()) < UNDERFLOW_SLACK or float(q2.min()) < UNDERFLOW_SLACK:
-            raise NumericalUnderflow(
-                f"stage {k + 1}: negative outcome probability beyond slack"
-            )
-        drift = float(np.max(np.abs(q1 + q2 - 1.0)))
-        if drift > COMPLETENESS_ATOL:
-            raise NumericalUnderflow(
-                f"stage {k + 1}: outcome probabilities sum to 1 +/- {drift:.3e}"
-            )
-        q1 = np.clip(q1, 0.0, 1.0)
-        q2 = np.clip(q2, 0.0, 1.0)
-        guess = (draws[:, k + 1] >= q1).astype(np.int8)
-        correct = guess == sent
-        all_correct &= correct
-        if cfg.record_per_receiver:
-            per_receiver.append(
-                tuple(
-                    float(np.mean(correct[sent == i])) if np.any(sent == i) else math.nan
-                    for i in (0, 1)
+    joint_successes = 0
+    sent_counts = [0, 0]
+    correct_counts = [[0, 0] for _ in stages]
+    for start in range(0, trials, CHUNK_TRIALS):
+        size = min(CHUNK_TRIALS, trials - start)
+        draws = rng.random((size, n + 1))
+        sent_2 = draws[:, 0] >= inst.prior_1
+        sent = sent_2.astype(np.int8)  # 0 -> state 1, 1 -> state 2
+        sent_counts[1] += int(np.count_nonzero(sent_2))
+        current = basis[sent]
+
+        all_correct = np.ones(size, dtype=bool)
+        for k, stage in enumerate(stages):
+            b1, b2 = stage.detectors
+            out1 = current @ b1.T
+            out2 = current @ b2.T
+            q1 = np.einsum("ij,ij->i", out1, out1.conj()).real
+            q2 = np.einsum("ij,ij->i", out2, out2.conj()).real
+            if float(q1.min()) < UNDERFLOW_SLACK or float(q2.min()) < UNDERFLOW_SLACK:
+                raise NumericalUnderflow(
+                    f"stage {k + 1}: negative outcome probability beyond slack"
                 )
-            )
-        # The sampled branch always has nonzero probability: outcome 1 needs
-        # a draw >= q1, impossible when q1 = 1 since draws lie in [0, 1).
-        norm = np.sqrt(np.where(guess == 0, q1, q2))
-        chosen = np.where((guess == 0)[:, None], out1, out2)
-        current = chosen / norm[:, None]
+            drift = float(np.max(np.abs(q1 + q2 - 1.0)))
+            if drift > COMPLETENESS_ATOL:
+                raise NumericalUnderflow(
+                    f"stage {k + 1}: outcome probabilities sum to 1 +/- {drift:.3e}"
+                )
+            q1 = np.clip(q1, 0.0, 1.0)
+            q2 = np.clip(q2, 0.0, 1.0)
+            guess = (draws[:, k + 1] >= q1).astype(np.int8)
+            correct = guess == sent
+            all_correct &= correct
+            correct_2 = int(np.count_nonzero(correct & sent_2))
+            correct_counts[k][0] += int(np.count_nonzero(correct)) - correct_2
+            correct_counts[k][1] += correct_2
+            # The sampled branch always has nonzero probability: outcome 1 needs
+            # a draw >= q1, impossible when q1 = 1 since draws lie in [0, 1).
+            norm = np.sqrt(np.where(guess == 0, q1, q2))
+            chosen = np.where((guess == 0)[:, None], out1, out2)
+            current = chosen / norm[:, None]
+        joint_successes += int(np.count_nonzero(all_correct))
+    sent_counts[0] = trials - sent_counts[1]
 
-    joint_successes = int(np.count_nonzero(all_correct))
     empirical = joint_successes / trials
     std_error = math.sqrt(empirical * (1.0 - empirical) / trials)
     prod1 = math.prod(stage.success.p1 for stage in stages)
     prod2 = math.prod(stage.success.p2 for stage in stages)
     predicted = inst.prior_1 * prod1 + inst.prior_2 * prod2
-    counts = (int(np.count_nonzero(sent == 0)), int(np.count_nonzero(sent == 1)))
+    # Integer ratios: bit-equal to the mean of the bool arrays they count.
+    per_receiver = tuple(
+        tuple(c / sent_counts[i] if sent_counts[i] else math.nan for i, c in enumerate(row))
+        for row in correct_counts
+    )
     return SimReport(
         trials=trials,
         joint_successes=joint_successes,
@@ -164,8 +180,8 @@ def run_chain_simulation(
         std_error=std_error,
         predicted_joint=predicted,
         z_score=_z_score(empirical, predicted, std_error),
-        per_state_counts=counts,
-        per_receiver_success=tuple(per_receiver) if cfg.record_per_receiver else None,
+        per_state_counts=tuple(sent_counts),
+        per_receiver_success=per_receiver,
         prng=PRNG_NAME,
         seed=cfg.seed,
     )

@@ -177,7 +177,7 @@ def test_criterion_6_monte_carlo_agreement():
         report = run_chain_simulation(
             inst,
             stages,
-            SimConfig(seed=MC_SIM_SEED_BASE + i, trials=MC_TRIALS, record_per_receiver=True),
+            SimConfig(seed=MC_SIM_SEED_BASE + i, trials=MC_TRIALS),
         )
         scores = [abs(report.z_score)]
         for k, (given1, given2) in enumerate(report.per_receiver_success):

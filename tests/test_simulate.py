@@ -1,6 +1,7 @@
 """Monte Carlo chain simulation: determinism, statistics, purity checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from guesschain import (
     run_chain_simulation,
     verify_posterior_purity,
 )
+from guesschain import simulate
 
 
 def _chain(overlap, prior_1, n):
@@ -28,7 +30,7 @@ def _chain(overlap, prior_1, n):
 class TestDeterminism:
     def test_identical_seeds_identical_reports(self):
         inst, _, stages = _chain(0.5, 0.5, 2)
-        cfg = SimConfig(seed=123, trials=20_000, record_per_receiver=True)
+        cfg = SimConfig(seed=123, trials=20_000)
         first = run_chain_simulation(inst, stages, cfg)
         second = run_chain_simulation(inst, stages, cfg)
         assert first == second
@@ -44,6 +46,31 @@ class TestDeterminism:
         report = run_chain_simulation(inst, stages, SimConfig(seed=9, trials=100))
         assert report.prng == "philox4x64"
         assert report.seed == 9
+
+
+class TestChunking:
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("trials", [1, 20_001])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, n, trials, chunk):
+        inst, _, stages = _chain(0.45, 0.35, n)
+        cfg = SimConfig(seed=31, trials=trials)
+        expected = run_chain_simulation(inst, stages, cfg)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", chunk)
+        assert run_chain_simulation(inst, stages, cfg) == expected
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        peaks = {}
+        for trials in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                run_chain_simulation(inst, stages, SimConfig(seed=3, trials=trials))
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1_000_000] < 32 * 2**20
+        assert peaks[1_000_000] <= 1.1 * peaks[200_000]
 
 
 class TestStatistics:
@@ -67,7 +94,7 @@ class TestStatistics:
 
     def test_per_receiver_marginals(self):
         inst, result, stages = _chain(0.4, 0.3, 3)
-        cfg = SimConfig(seed=77, trials=200_000, record_per_receiver=True)
+        cfg = SimConfig(seed=77, trials=200_000)
         report = run_chain_simulation(inst, stages, cfg)
         assert len(report.per_receiver_success) == 3
         for k, (given1, given2) in enumerate(report.per_receiver_success):
@@ -117,7 +144,8 @@ def _tamper(stage, row, col, amount):
 
 
 class TestBrokenStagesAreCaught:
-    def test_incomplete_povm_raises(self):
+    @pytest.mark.parametrize("trials", [1000, 3 * simulate.CHUNK_TRIALS + 5])
+    def test_incomplete_povm_raises(self, trials):
         inst, _, stages = _chain(0.5, 0.5, 2)
         bad = np.array(stages[0].detectors[0], copy=True) * 0.9
         tampered = MeasurementStage(
@@ -128,7 +156,7 @@ class TestBrokenStagesAreCaught:
             out_overlap=stages[0].out_overlap,
         )
         with pytest.raises(NumericalUnderflow):
-            run_chain_simulation(inst, [tampered, stages[1]], SimConfig(seed=1, trials=1000))
+            run_chain_simulation(inst, [tampered, stages[1]], SimConfig(seed=1, trials=trials))
 
     def test_stage_count_mismatch(self):
         inst, _, stages = _chain(0.5, 0.5, 2)
