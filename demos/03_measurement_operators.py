@@ -29,9 +29,9 @@ for k, stage in enumerate(stages, start=1):
     print(f"  success pair: p1 = {stage.success.p1:.6f}, p2 = {stage.success.p2:.6f}")
     for name, det in zip(("B1", "B2"), stage.detectors):
         print(f"  {name} =")
-        for row in np.asarray(det).real:
+        for row in det:
             print(f"      [{row[0]: .6f} {row[1]: .6f}]")
-    gram = sum(d.conj().T @ d for d in stage.detectors)
+    gram = sum(d.T @ d for d in stage.detectors)
     print(f"  completeness defect |B1'B1 + B2'B2 - I| = "
           f"{np.max(np.abs(gram - np.eye(2))):.2e}")
     psi1, psi2 = make_state_pair(stage.in_overlap)

@@ -18,7 +18,6 @@ from .core import (
 )
 from .optimize import (
     FullChainSolution,
-    OptimizerConfig,
     find_sb,
     grid_search_oracle,
     optimize_full_chain,
@@ -51,7 +50,6 @@ __all__ = [
     "InfeasibleStage",
     "MeasurementStage",
     "NumericalUnderflow",
-    "OptimizerConfig",
     "PRNG_NAME",
     "QubitState",
     "SimConfig",

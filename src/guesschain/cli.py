@@ -20,6 +20,7 @@ LF line endings. Diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,7 +32,7 @@ from .core import (
     equal_prior_jbg,
     individual_greedy,
 )
-from .optimize import OptimizerConfig, find_sb, optimize_reduced
+from .optimize import find_sb, optimize_reduced
 from .povm import MeasurementStage, build_chain
 from .simulate import SimConfig, run_chain_simulation
 
@@ -55,12 +56,9 @@ def _solve(inst: DiscriminationInstance, strategy: Strategy) -> StrategyResult:
     if strategy is Strategy.JBG_SYMMETRIC_ANALYTIC:
         symmetric = equal_prior_jbg(inst.overlap, inst.n_receivers)
         # Same symmetric stages; the joint is reweighted by the true priors
-        # (numerically identical to p**N since p1 = p2).
-        return StrategyResult(
-            stages=symmetric.stages,
-            overlaps=symmetric.overlaps,
-            joint_success=symmetric.recompute_joint(inst.prior_1, inst.prior_2),
-            strategy=Strategy.JBG_SYMMETRIC_ANALYTIC,
+        # (the product can differ from p**N in the last bits).
+        return dataclasses.replace(
+            symmetric, joint_success=symmetric.recompute_joint(inst.prior_1, inst.prior_2)
         )
     if strategy is Strategy.INDIVIDUAL_GREEDY:
         return individual_greedy(inst)
@@ -88,20 +86,21 @@ def _instance_from_args(args: argparse.Namespace) -> DiscriminationInstance:
         raise UsageError(str(exc)) from exc
 
 
-def _complex_cell(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _cell(x: float) -> list[float]:
+    # Schema 1 writes each amplitude as an [re, im] pair; im is always 0.
+    return [float(x), 0.0]
 
 
 def _matrix_json(matrix) -> list[list[list[float]]]:
-    return [[_complex_cell(z) for z in row] for row in matrix.tolist()]
+    return [[_cell(x) for x in row] for row in matrix.tolist()]
 
 
 def _stage_json(stage: MeasurementStage) -> dict:
     return {
         "detector_1": _matrix_json(stage.detectors[0]),
         "detector_2": _matrix_json(stage.detectors[1]),
-        "output_1": [_complex_cell(z) for z in stage.outputs[0].amplitudes],
-        "output_2": [_complex_cell(z) for z in stage.outputs[1].amplitudes],
+        "output_1": [_cell(x) for x in stage.outputs[0].amplitudes],
+        "output_2": [_cell(x) for x in stage.outputs[1].amplitudes],
         "p1": stage.success.p1,
         "p2": stage.success.p2,
         "in_overlap": stage.in_overlap,
@@ -151,8 +150,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--start/--stop must lie in [0, 1]")
 
     def grid(start: float, stop: float, points: int) -> list[float]:
-        if points == 1:
-            return [start]
         step = (stop - start) / (points - 1)
         return [start + k * step for k in range(points)]
 
@@ -251,7 +248,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_find_sb(args: argparse.Namespace) -> int:
     if args.receivers < 2:
         raise UsageError("the threshold is only defined for 2 or more receivers")
-    value = find_sb(args.receivers, OptimizerConfig())
+    value = find_sb(args.receivers)
     _emit({"schema_version": SCHEMA_VERSION, "n": args.receivers, "s_b": value})
     return EXIT_OK
 

@@ -30,6 +30,7 @@ from .core import (
     Strategy,
     StrategyResult,
     SuccessPair,
+    equal_prior_jbg,
     helstrom_success_pair,
     overlap_ladder,
     p2_from_p1,
@@ -37,7 +38,6 @@ from .core import (
 
 __all__ = [
     "FullChainSolution",
-    "OptimizerConfig",
     "find_sb",
     "grid_search_oracle",
     "optimize_full_chain",
@@ -45,19 +45,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Deterministic search parameters for the reduced 1-D problem."""
-
-    scan_points: int = 2001
-    refine_tolerance: float = 1e-12
-    candidate_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.scan_points, int) or self.scan_points < 3:
-            raise ValueError(f"scan_points must be an int >= 3, got {self.scan_points!r}")
-        if not (self.refine_tolerance > 0.0 and self.candidate_tolerance > 0.0):
-            raise ValueError("tolerances must be positive")
+# Deterministic search parameters of the reduced 1-D problem: theta1 samples
+# of the coarse scan, bracket width at which bisection stops, and the joint
+# success window within which candidates count as tied.
+SCAN_POINTS = 2001
+REFINE_TOLERANCE = 1e-12
+CANDIDATE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,13 +98,11 @@ def _bisect_residual(
     return 0.5 * (lo + hi)
 
 
-def _solve_reduced(
-    s: float, n: int, eta1: float, eta2: float, cfg: OptimizerConfig
-) -> tuple[float, float, float]:
+def _solve_reduced(s: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
     """Maximize the reduced objective; returns (p1, p2, joint)."""
     s_eff = min(s ** (1.0 / n), 1.0)
     phi = math.asin(s_eff)
-    grid = np.linspace(0.0, 0.5 * math.pi, cfg.scan_points)
+    grid = np.linspace(0.0, 0.5 * math.pi, SCAN_POINTS)
     values = _objective(grid, phi, eta1, eta2, n)
 
     # Candidate thetas: both endpoints plus every refined interior local max.
@@ -124,7 +115,7 @@ def _solve_reduced(
         f_lo = _residual_theta(lo, phi, eta1, eta2, n)
         f_hi = _residual_theta(hi, phi, eta1, eta2, n)
         if f_lo < 0.0 < f_hi:
-            candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n, cfg.refine_tolerance))
+            candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n, REFINE_TOLERANCE))
         else:
             # Flat or endpoint-adjacent plateau: keep the sampled point.
             candidates.append(float(grid[i]))
@@ -137,15 +128,13 @@ def _solve_reduced(
     best_joint = max(e[0] for e in evaluated)
     # Tie window: prefer the most symmetric pair, then the larger p1, so the
     # returned strategy is stable across platforms.
-    tied = [e for e in evaluated if e[0] >= best_joint - cfg.candidate_tolerance]
+    tied = [e for e in evaluated if e[0] >= best_joint - CANDIDATE_TOLERANCE]
     tied.sort(key=lambda e: (abs(e[1] - e[2]), -e[1]))
     _, p1, p2 = tied[0]
     return p1, p2, eta1 * p1**n + eta2 * p2**n
 
 
-def optimize_reduced(
-    inst: DiscriminationInstance, cfg: OptimizerConfig | None = None
-) -> StrategyResult:
+def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:
     """Globally optimal joint strategy via the reduced 1-D problem.
 
     All receivers share one SuccessPair (the chain reduction), and the
@@ -153,13 +142,11 @@ def optimize_reduced(
     priors of an instance swaps (p1, p2) of the optimum bit-exactly: the
     solver canonicalizes to prior_1 >= prior_2 and mirrors the result back.
     """
-    if cfg is None:
-        cfg = OptimizerConfig()
     n = inst.n_receivers
     if inst.prior_1 >= inst.prior_2:
-        p1, p2, joint = _solve_reduced(inst.overlap, n, inst.prior_1, inst.prior_2, cfg)
+        p1, p2, joint = _solve_reduced(inst.overlap, n, inst.prior_1, inst.prior_2)
     else:
-        p2, p1, joint = _solve_reduced(inst.overlap, n, inst.prior_2, inst.prior_1, cfg)
+        p2, p1, joint = _solve_reduced(inst.overlap, n, inst.prior_2, inst.prior_1)
     return StrategyResult(
         stages=tuple(SuccessPair(p1, p2) for _ in range(n)),
         overlaps=overlap_ladder(inst.overlap, n),
@@ -334,25 +321,21 @@ def _full_chain_three(inst: DiscriminationInstance, resolution: int) -> FullChai
     )
 
 
-def find_sb(n: int, cfg: OptimizerConfig | None = None) -> float:
+def find_sb(n: int) -> float:
     """Smallest equal-prior overlap above which the symmetric closed form
     stops being globally optimal.
 
     Bisects (to 1e-6 in s) the indicator "global optimum exceeds the
-    symmetric value by more than cfg.candidate_tolerance". The gap criterion
+    symmetric value by more than CANDIDATE_TOLERANCE". The gap criterion
     is robust to whether the branch exchange is a pitchfork or a crossing.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an int >= 2, got {n!r}")
-    if cfg is None:
-        cfg = OptimizerConfig()
 
     def symmetric_beaten(s: float) -> bool:
         inst = DiscriminationInstance(overlap=s, prior_1=0.5, n_receivers=n)
-        gap = optimize_reduced(inst, cfg).joint_success - (
-            0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - s ** (2.0 / n))))
-        ) ** n
-        return gap > cfg.candidate_tolerance
+        gap = optimize_reduced(inst).joint_success - equal_prior_jbg(s, n).joint_success
+        return gap > CANDIDATE_TOLERANCE
 
     lo, hi = 0.0, 0.999
     if not symmetric_beaten(hi):

@@ -25,9 +25,8 @@ Gram-Schmidt step, so completeness holds to rounding. Identical inputs have
 no psi1 - psi2; their second column is the unit column perpendicular to the
 first within each detector.
 
-Overlaps are taken real and non-negative throughout; states are compared up
-to a global phase, with the canonical representative fixing the first nonzero
-amplitude real positive.
+Overlaps, amplitudes and detectors are real throughout (float64); states are
+compared up to sign.
 """
 
 from __future__ import annotations
@@ -71,29 +70,22 @@ class DegenerateInput(ValueError):
 class QubitState:
     """Pure qubit state a|0> + b|1>, normalized within 1e-12."""
 
-    amplitudes: tuple[complex, complex]
+    amplitudes: tuple[float, float]
 
     def __post_init__(self) -> None:
-        a, b = self.amplitudes
-        norm_sq = abs(a) ** 2 + abs(b) ** 2
+        a, b = (float(x) for x in self.amplitudes)
+        norm_sq = a * a + b * b
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", (complex(a), complex(b)))
+        object.__setattr__(self, "amplitudes", (a, b))
 
     @property
     def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
-
-    def canonical(self) -> "QubitState":
-        """Phase-fixed representative: first nonzero amplitude real positive."""
-        vec = self.vector
-        pivot = vec[0] if abs(vec[0]) > 1e-15 else vec[1]
-        vec = vec * (abs(pivot) / pivot)
-        return QubitState((complex(vec[0]), complex(vec[1])))
+        return np.array(self.amplitudes)
 
     def fidelity(self, other: "QubitState") -> float:
-        """|<self|other>|^2; phase-insensitive equality measure."""
-        return float(abs(np.vdot(self.vector, other.vector)) ** 2)
+        """<self|other>^2; sign-insensitive equality measure."""
+        return float(np.dot(self.vector, other.vector) ** 2)
 
 
 def make_state_pair(overlap: float) -> tuple[QubitState, QubitState]:
@@ -122,7 +114,10 @@ class MeasurementStage:
     def __post_init__(self) -> None:
         frozen = []
         for det in self.detectors:
-            arr = np.array(det, dtype=complex)
+            arr = np.asarray(det)
+            if np.any(np.imag(arr)):
+                raise ValueError("detectors must be real, got a nonzero imaginary part")
+            arr = np.array(np.real(arr), dtype=np.float64)
             if arr.shape != (2, 2):
                 raise ValueError(f"detectors must be 2x2, got shape {arr.shape}")
             arr.setflags(write=False)
@@ -137,12 +132,12 @@ class MeasurementStage:
         arriving from serialization or tests can be trusted.
         """
         b1, b2 = self.detectors
-        gram = b1.conj().T @ b1 + b2.conj().T @ b2
+        gram = b1.T @ b1 + b2.T @ b2
         defect = float(np.max(np.abs(gram - np.eye(2))))
         if defect > STAGE_ATOL:
             raise ValueError(f"completeness violated: max |B1+B1 + B2+B2 - I| = {defect:.3e}")
         for i, det in enumerate((b1, b2), start=1):
-            eigs = np.linalg.eigvalsh(det.conj().T @ det)
+            eigs = np.linalg.eigvalsh(det.T @ det)
             if float(eigs.min()) < -1e-12:
                 raise ValueError(f"POVM element {i} not positive: min eig {eigs.min():.3e}")
         psi1, psi2 = make_state_pair(self.in_overlap)
@@ -159,10 +154,10 @@ class MeasurementStage:
                     f"action amplitude mismatch: |B psi| = {norm!r}, expected sqrt({weight!r})"
                 )
             if norm > 1e-8:
-                fid = float(abs(np.vdot(target.vector, out_vec / norm)) ** 2)
+                fid = float(np.dot(target.vector, out_vec / norm) ** 2)
                 if fid < 1.0 - STAGE_ATOL:
                     raise ValueError(f"output state mismatch: fidelity {fid!r}")
-        out_overlap = abs(np.vdot(self.outputs[0].vector, self.outputs[1].vector))
+        out_overlap = abs(float(np.dot(self.outputs[0].vector, self.outputs[1].vector)))
         if abs(out_overlap - self.out_overlap) > STAGE_ATOL:
             raise ValueError(
                 f"output overlap {out_overlap!r} differs from declared {self.out_overlap!r}"
@@ -207,7 +202,7 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
                 f"but t_in = {in_overlap!r}"
             )
     outputs = make_state_pair(out_overlap)
-    c, s = (z.real for z in outputs[0].amplitudes)
+    c, s = outputs[0].amplitudes
     r1, w1 = math.sqrt(p1), math.sqrt(max(0.0, 1.0 - p1))
     r2, w2 = math.sqrt(p2), math.sqrt(max(0.0, 1.0 - p2))
     # Rounding left in the budget goes into the amplitudes (one Newton step on

@@ -47,7 +47,7 @@ logger = logging.getLogger(__name__)
 PRNG_NAME = "philox4x64"
 
 # Trials walked per chunk: bounds the draw matrix and the state arrays, whose
-# size would otherwise grow with the trial count (~240 B per trial).
+# size would otherwise grow with the trial count.
 CHUNK_TRIALS = 1 << 14
 
 # Squared norms more negative than this indicate a broken stage, not roundoff.
@@ -136,8 +136,8 @@ def run_chain_simulation(
             b1, b2 = stage.detectors
             out1 = current @ b1.T
             out2 = current @ b2.T
-            q1 = np.einsum("ij,ij->i", out1, out1.conj()).real
-            q2 = np.einsum("ij,ij->i", out2, out2.conj()).real
+            q1 = np.einsum("ij,ij->i", out1, out1)
+            q2 = np.einsum("ij,ij->i", out2, out2)
             if float(q1.min()) < UNDERFLOW_SLACK or float(q2.min()) < UNDERFLOW_SLACK:
                 raise NumericalUnderflow(
                     f"stage {k + 1}: negative outcome probability beyond slack"
@@ -210,11 +210,11 @@ def verify_posterior_purity(stages: list[MeasurementStage]) -> bool:
             successor = None
             for branch, detector in enumerate(stage.detectors):
                 out = detector @ current
-                weight = float(np.vdot(out, out).real)
+                weight = float(np.dot(out, out))
                 if weight < 1e-14:
                     continue  # outcome never occurs for this input
                 out = out / math.sqrt(weight)
-                fidelity = float(abs(np.vdot(expected, out)) ** 2)
+                fidelity = float(np.dot(expected, out) ** 2)
                 if fidelity < 1.0 - 1e-9:
                     logger.warning(
                         "stage %d, input state %d, outcome %d: post-measurement "

@@ -70,10 +70,14 @@ class TestOptimizeCommand:
             assert distinguishability(stage["p1"], stage["p2"]) * t_out == pytest.approx(
                 overlaps[k], abs=1e-9
             )
-        # serialized stage matrices are row-major [re, im] pairs
-        matrix = payload["measurement_stages"][0]["detector_1"]
-        arr = np.array([[complex(re, im) for re, im in row] for row in matrix])
-        assert arr.shape == (2, 2)
+        # serialized stage matrices are row-major [re, im] pairs, im always 0.0
+        for stage in payload["measurement_stages"]:
+            for key in ("detector_1", "detector_2"):
+                assert all(im == 0.0 for row in stage[key] for _, im in row)
+                arr = np.array([[re for re, _ in row] for row in stage[key]])
+                assert arr.shape == (2, 2)
+            for key in ("output_1", "output_2"):
+                assert all(im == 0.0 for _, im in stage[key])
 
 
     @pytest.mark.parametrize(

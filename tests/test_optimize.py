@@ -7,7 +7,6 @@ import pytest
 
 from guesschain import (
     DiscriminationInstance,
-    OptimizerConfig,
     Strategy,
     boundary_solution,
     distinguishability,
@@ -219,16 +218,3 @@ class TestThreshold:
     def test_rejects_single_receiver(self):
         with pytest.raises(ValueError):
             find_sb(1)
-
-
-class TestOptimizerConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(scan_points=2)
-        with pytest.raises(ValueError):
-            OptimizerConfig(refine_tolerance=0.0)
-
-    def test_custom_config_still_converges(self):
-        inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
-        coarse = optimize_reduced(inst, OptimizerConfig(scan_points=101))
-        assert coarse.joint_success == pytest.approx(0.7285533905932737, abs=1e-10)

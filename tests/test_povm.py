@@ -54,11 +54,11 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState((1.0, 1.0))
 
-    def test_canonical_phase(self):
-        state = QubitState((0.6j, 0.8j)).canonical()
-        np.testing.assert_allclose(state.vector, [0.6, 0.8], atol=1e-15)
+    def test_rejects_imaginary_amplitudes(self):
+        with pytest.raises(TypeError):
+            QubitState((0.6j, 0.8j))
 
-    def test_fidelity_ignores_phase(self):
+    def test_fidelity_ignores_sign(self):
         a = QubitState((0.6, 0.8))
         b = QubitState((-0.6, -0.8))
         assert a.fidelity(b) == pytest.approx(1.0, abs=1e-15)
@@ -291,6 +291,28 @@ class TestChainConditioning:
             assert _completeness_defect(stage) <= 1e-14
 
 
+CHAIN_STRATEGIES = (
+    optimize_reduced,
+    lambda inst: equal_prior_jbg(inst.overlap, inst.n_receivers),
+    individual_greedy,
+    boundary_solution,
+)
+
+
+@pytest.mark.parametrize(
+    "solve", CHAIN_STRATEGIES, ids=("optimal", "symmetric", "greedy", "boundary")
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("overlap, prior", [(0.0, 0.3), (0.4, 0.5), (0.9, 0.8), (1.0, 0.2)])
+def test_built_stages_are_float64(solve, n, overlap, prior):
+    inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+    for stage in build_chain(inst, solve(inst)):
+        assert all(det.dtype == np.float64 for det in stage.detectors)
+        for state in stage.outputs:
+            assert all(type(x) is float for x in state.amplitudes)
+            assert state.vector.dtype == np.float64
+
+
 class TestStageValidation:
     def test_tampered_detector_is_caught(self):
         inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
@@ -306,6 +328,24 @@ class TestStageValidation:
         )
         with pytest.raises(ValueError):
             tampered.validate()
+
+    def test_imaginary_detector_is_rejected(self):
+        stage = build_stage(0.4, SuccessPair(0.8, 0.7), 0.4 / distinguishability(0.8, 0.7))
+        fields = dict(
+            outputs=stage.outputs,
+            success=stage.success,
+            in_overlap=stage.in_overlap,
+            out_overlap=stage.out_overlap,
+        )
+        bad = stage.detectors[0] + 1e-3j
+        with pytest.raises(ValueError, match="imaginary"):
+            MeasurementStage(detectors=(bad, stage.detectors[1]), **fields)
+        # Schema-1 [re, 0.0] pairs read back as the real stage
+        read_back = MeasurementStage(
+            detectors=tuple(det + 0j for det in stage.detectors), **fields
+        )
+        assert all(det.dtype == np.float64 for det in read_back.detectors)
+        read_back.validate()
 
     def test_detectors_are_read_only(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
