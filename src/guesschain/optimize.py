@@ -119,6 +119,13 @@ def _solve_reduced(s: float, n: int, eta1: float, eta2: float) -> tuple[float, f
         else:
             # Flat or endpoint-adjacent plateau: keep the sampled point.
             candidates.append(float(grid[i]))
+    # A maximum inside the first scan cell is no sampled local maximum, but
+    # the residual still changes sign across that cell.
+    lo, hi = grid[0], grid[1]
+    if values[0] >= values[1] and (
+        _residual_theta(lo, phi, eta1, eta2, n) < 0.0 < _residual_theta(hi, phi, eta1, eta2, n)
+    ):
+        candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n, REFINE_TOLERANCE))
 
     evaluated = []
     for theta in candidates:

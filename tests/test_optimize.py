@@ -120,6 +120,22 @@ class TestOptimizeReduced:
         # tie resolves to the symmetric guessing point
         assert result.stages[0] == pytest.approx((0.5, 0.5), abs=1e-9)
 
+    def test_maximum_inside_first_scan_cell_beats_greedy(self):
+        # the interior optimum lies within half a scan cell of theta1 = 0
+        inst = DiscriminationInstance(0.1146, 0.9991, n_receivers=2)
+        assert (
+            optimize_reduced(inst).joint_success >= individual_greedy(inst).joint_success
+        )
+
+    def test_maximum_inside_first_scan_cell_matches_dense_scan(self):
+        n, s, prior = 8, 0.1244375, 0.26129
+        result = optimize_reduced(DiscriminationInstance(s, prior, n_receivers=n))
+        # canonical frame: theta1 belongs to the likelier state (prior 1 - prior)
+        phi = math.asin(s ** (1.0 / n))
+        theta = np.linspace(0.0, 1e-3, 100_001)
+        dense = (1.0 - prior) * np.cos(theta) ** (2 * n) + prior * np.cos(phi - theta) ** (2 * n)
+        assert result.joint_success >= float(dense.max()) - 1e-12
+
 
 class TestGridSearchOracle:
     def test_agrees_with_closed_form(self):
