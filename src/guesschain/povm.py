@@ -73,7 +73,10 @@ class QubitState:
     amplitudes: tuple[float, float]
 
     def __post_init__(self) -> None:
-        a, b = (float(x) for x in self.amplitudes)
+        a, b = self.amplitudes
+        if a.imag or b.imag:
+            raise ValueError("amplitudes must be real, got a nonzero imaginary part")
+        a, b = float(a.real), float(b.real)
         norm_sq = a * a + b * b
         if abs(norm_sq - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {norm_sq!r}")

@@ -55,10 +55,13 @@ class TestQubitState:
             QubitState((1.0, 1.0))
 
     def test_rejects_imaginary_amplitudes(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="imaginary"):
             QubitState((0.6j, 0.8j))
+        with pytest.raises(ValueError, match="imaginary"):
+            QubitState((np.complex128(0.6 + 1e-3j), 0.8))
+        assert QubitState((0.6 + 0j, 0.8)).amplitudes == (0.6, 0.8)
 
-    def test_fidelity_ignores_sign(self):
+    def test_fidelity_ignores_phase(self):
         a = QubitState((0.6, 0.8))
         b = QubitState((-0.6, -0.8))
         assert a.fidelity(b) == pytest.approx(1.0, abs=1e-15)
@@ -242,10 +245,14 @@ def _completeness_defect(stage):
 SOLVERS = (optimize_reduced, individual_greedy, boundary_solution)
 
 
+def symmetric_solution(inst):
+    return equal_prior_jbg(inst.overlap, inst.n_receivers)
+
+
 class TestChainConditioning:
     """Chains stay complete to rounding however close the overlaps come to 1."""
 
-    @pytest.mark.parametrize("solver", SOLVERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("solver", (*SOLVERS, symmetric_solution), ids=lambda f: f.__name__)
     @pytest.mark.parametrize("prior", (0.0, 0.3, 0.55, 1.0))
     @pytest.mark.parametrize("overlap", (0.3, 0.99, 1.0 - 1e-6, 1.0 - 1e-9))
     @pytest.mark.parametrize("n", (1, 2, 8, 200))
@@ -255,6 +262,11 @@ class TestChainConditioning:
         assert len(stages) == n
         for stage in stages:
             stage.validate()
+            # float64 end to end: detectors, output amplitudes and vectors
+            assert all(det.dtype == np.float64 for det in stage.detectors)
+            for state in stage.outputs:
+                assert all(type(x) is float for x in state.amplitudes)
+                assert state.vector.dtype == np.float64
 
     @pytest.mark.parametrize(
         "overlap, prior",
@@ -289,28 +301,6 @@ class TestChainConditioning:
         for stage in stages:
             stage.validate()
             assert _completeness_defect(stage) <= 1e-14
-
-
-CHAIN_STRATEGIES = (
-    optimize_reduced,
-    lambda inst: equal_prior_jbg(inst.overlap, inst.n_receivers),
-    individual_greedy,
-    boundary_solution,
-)
-
-
-@pytest.mark.parametrize(
-    "solve", CHAIN_STRATEGIES, ids=("optimal", "symmetric", "greedy", "boundary")
-)
-@pytest.mark.parametrize("n", [1, 2, 5])
-@pytest.mark.parametrize("overlap, prior", [(0.0, 0.3), (0.4, 0.5), (0.9, 0.8), (1.0, 0.2)])
-def test_built_stages_are_float64(solve, n, overlap, prior):
-    inst = DiscriminationInstance(overlap, prior, n_receivers=n)
-    for stage in build_chain(inst, solve(inst)):
-        assert all(det.dtype == np.float64 for det in stage.detectors)
-        for state in stage.outputs:
-            assert all(type(x) is float for x in state.amplitudes)
-            assert state.vector.dtype == np.float64
 
 
 class TestStageValidation:
