@@ -1,12 +1,17 @@
 """Seeded Monte Carlo simulation of the full sender -> N-receiver protocol.
 
-Each trial samples the prepared state from the priors, then walks the qubit
-through every measurement stage: outcome probabilities come from the actual
-detection operators (q_j = ||B_j |psi>||^2), the sampled outcome is the
-receiver's guess, and the post-measurement state B_j|psi> / ||B_j|psi>|| is
-handed to the next stage. A trial is a joint success when every guess matches
-the prepared state. States evolve as pure 2-amplitude vectors, which is exact
-for the pure-output stages built by ``povm.build_chain``.
+Each trial samples the prepared state from the priors, then one outcome per
+measurement stage, the receiver's guess; a trial is a joint success when
+every guess matches the prepared state. The stages built by
+``povm.build_chain`` send prepared state i to output state i whichever
+outcome occurs, so only two states ever reach a stage. Outcome probabilities
+q_j = ||B_j |psi>||^2 therefore come from one walk of the two prepared states
+through the detectors, before any trial, into a table q1[k, i] (stage k,
+prepared state i) that each trial's draws are compared with; a per-trial
+state walk computes the same values up to rounding in their last bits. The
+walk checks this: a non-final stage whose two outcomes leave an input in
+states of fidelity below 1 - 1e-9 raises ValueError, and probabilities that
+are negative or do not sum to 1 raise NumericalUnderflow.
 
 Randomness contract: draws come from the counter-based Philox 4x64 generator
 keyed by the seed, consumed in trial-major order -- trial i uses draws
@@ -105,6 +110,24 @@ def _z_score(empirical: float, predicted: float, std_error: float) -> float:
     return math.copysign(math.inf, empirical - predicted)
 
 
+def _two_state_walk(overlap: float, stages: list[MeasurementStage]):
+    """Walk the two prepared states of ``overlap`` through ``stages`` once.
+
+    Yields, per stage, the images ``out[j]`` (row i: B_j applied to the state
+    prepared as i) and their squared norms ``q[j]``. Each state then moves on
+    along its more probable outcome, normalized.
+    """
+    pair = make_state_pair(overlap)
+    current = np.stack([pair[0].vector, pair[1].vector])
+    for stage in stages:
+        out = [current @ b.T for b in stage.detectors]
+        q = [np.einsum("ij,ij->i", o, o) for o in out]
+        yield out, q
+        follow = q[0] >= q[1]
+        norm = np.sqrt(np.clip(np.where(follow, q[0], q[1]), 0.0, 1.0))
+        current = np.where(follow[:, None], out[0], out[1]) / norm[:, None]
+
+
 def run_chain_simulation(
     inst: DiscriminationInstance,
     stages: list[MeasurementStage],
@@ -116,10 +139,24 @@ def run_chain_simulation(
     n = inst.n_receivers
     trials = cfg.trials
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    pair = make_state_pair(inst.overlap)
-    basis = np.stack([pair[0].vector, pair[1].vector])
+    q1 = np.empty((n, 2))
+    for k, (out, q) in enumerate(_two_state_walk(inst.overlap, stages)):
+        if min(q[0].min(), q[1].min()) < UNDERFLOW_SLACK:
+            raise NumericalUnderflow(f"stage {k + 1}: negative outcome probability beyond slack")
+        drift = float(np.max(np.abs(q[0] + q[1] - 1.0)))
+        if drift > COMPLETENESS_ATOL:
+            raise NumericalUnderflow(f"stage {k + 1}: outcome probabilities sum to 1 +/- {drift:.3e}")
+        q1[k] = np.clip(q[0], 0.0, 1.0)
+        for i in range(2):
+            if k + 1 < n and min(q[0][i], q[1][i]) > 1e-14:
+                fidelity = float(np.dot(out[0][i], out[1][i]) ** 2 / (q[0][i] * q[1][i]))
+                if fidelity < 1.0 - 1e-9:
+                    raise ValueError(
+                        f"stage {k + 1}: the output for input state {i + 1} depends "
+                        f"on the outcome (fidelity {fidelity:.12f} between the two)"
+                    )
 
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     joint_successes = 0
     sent_counts = [0, 0]
     correct_counts = [[0, 0] for _ in stages]
@@ -127,39 +164,16 @@ def run_chain_simulation(
         size = min(CHUNK_TRIALS, trials - start)
         draws = rng.random((size, n + 1))
         sent_2 = draws[:, 0] >= inst.prior_1
-        sent = sent_2.astype(np.int8)  # 0 -> state 1, 1 -> state 2
         sent_counts[1] += int(np.count_nonzero(sent_2))
-        current = basis[sent]
-
         all_correct = np.ones(size, dtype=bool)
-        for k, stage in enumerate(stages):
-            b1, b2 = stage.detectors
-            out1 = current @ b1.T
-            out2 = current @ b2.T
-            q1 = np.einsum("ij,ij->i", out1, out1)
-            q2 = np.einsum("ij,ij->i", out2, out2)
-            if float(q1.min()) < UNDERFLOW_SLACK or float(q2.min()) < UNDERFLOW_SLACK:
-                raise NumericalUnderflow(
-                    f"stage {k + 1}: negative outcome probability beyond slack"
-                )
-            drift = float(np.max(np.abs(q1 + q2 - 1.0)))
-            if drift > COMPLETENESS_ATOL:
-                raise NumericalUnderflow(
-                    f"stage {k + 1}: outcome probabilities sum to 1 +/- {drift:.3e}"
-                )
-            q1 = np.clip(q1, 0.0, 1.0)
-            q2 = np.clip(q2, 0.0, 1.0)
-            guess = (draws[:, k + 1] >= q1).astype(np.int8)
-            correct = guess == sent
+        for k in range(n):
+            # Outcome 1 (guess "state 1") when the draw falls below q1.
+            col = draws[:, k + 1]
+            correct = np.where(sent_2, col >= q1[k, 1], col < q1[k, 0])
             all_correct &= correct
             correct_2 = int(np.count_nonzero(correct & sent_2))
             correct_counts[k][0] += int(np.count_nonzero(correct)) - correct_2
             correct_counts[k][1] += correct_2
-            # The sampled branch always has nonzero probability: outcome 1 needs
-            # a draw >= q1, impossible when q1 = 1 since draws lie in [0, 1).
-            norm = np.sqrt(np.where(guess == 0, q1, q2))
-            chosen = np.where((guess == 0)[:, None], out1, out2)
-            current = chosen / norm[:, None]
         joint_successes += int(np.count_nonzero(all_correct))
     sent_counts[0] = trials - sent_counts[1]
 
@@ -190,31 +204,33 @@ def run_chain_simulation(
 def verify_posterior_purity(stages: list[MeasurementStage]) -> bool:
     """Check that every non-final stage emits its declared pure output.
 
-    Walks both prepared states through the chain and, at every non-final
-    stage, checks both measurement outcomes: whenever an outcome can occur,
-    the normalized post-measurement state must match the stage's declared
-    output for the incoming state index with fidelity >= 1 - 1e-9. The walk
-    enumerates every reachable branch, a superset of what any sampled run
-    would visit.
+    Walks both prepared states through the chain once, as the simulator
+    does, and at every non-final stage checks both measurement outcomes:
+    whenever an outcome can occur, the normalized post-measurement state must
+    match the stage's declared output for the incoming state index with
+    fidelity >= 1 - 1e-9.
 
-    Returns False (with logged diagnostics) on the first offending stage.
+    Returns False (with logged diagnostics) when any stage offends.
     """
     if not stages:
         return True
     ok = True
-    pair = make_state_pair(stages[0].in_overlap)
-    for sent_index, state in enumerate(pair):
-        current = state.vector
-        for k, stage in enumerate(stages[:-1]):
-            expected = stage.outputs[sent_index].vector
-            successor = None
-            for branch, detector in enumerate(stage.detectors):
-                out = detector @ current
-                weight = float(np.dot(out, out))
+    for k, (out, q) in enumerate(_two_state_walk(stages[0].in_overlap, stages[:-1])):
+        for sent_index in range(2):
+            if max(q[0][sent_index], q[1][sent_index]) < 1e-14:
+                logger.warning(
+                    "stage %d, input state %d: no outcome has nonzero probability",
+                    k + 1,
+                    sent_index + 1,
+                )
+                return False
+            expected = stages[k].outputs[sent_index].vector
+            for branch in range(2):
+                weight = float(q[branch][sent_index])
                 if weight < 1e-14:
                     continue  # outcome never occurs for this input
-                out = out / math.sqrt(weight)
-                fidelity = float(np.dot(expected, out) ** 2)
+                post = out[branch][sent_index] / math.sqrt(weight)
+                fidelity = float(np.dot(expected, post) ** 2)
                 if fidelity < 1.0 - 1e-9:
                     logger.warning(
                         "stage %d, input state %d, outcome %d: post-measurement "
@@ -225,13 +241,4 @@ def verify_posterior_purity(stages: list[MeasurementStage]) -> bool:
                         fidelity,
                     )
                     ok = False
-                successor = out
-            if successor is None:
-                logger.warning(
-                    "stage %d, input state %d: no outcome has nonzero probability",
-                    k + 1,
-                    sent_index + 1,
-                )
-                return False
-            current = successor
     return ok

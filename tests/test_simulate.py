@@ -1,5 +1,6 @@
 """Monte Carlo chain simulation: determinism, statistics, purity checks."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,8 +13,12 @@ from guesschain import (
     MeasurementStage,
     NumericalUnderflow,
     SimConfig,
+    SimReport,
+    boundary_solution,
     build_chain,
+    equal_prior_jbg,
     individual_greedy,
+    make_state_pair,
     optimize_reduced,
     run_chain_simulation,
     verify_posterior_purity,
@@ -71,6 +76,74 @@ class TestChunking:
                 tracemalloc.stop()
         assert peaks[1_000_000] < 32 * 2**20
         assert peaks[1_000_000] <= 1.1 * peaks[200_000]
+
+
+def _per_trial_walk(inst, stages, cfg):
+    """Reference: walk every trial's state through the real detectors."""
+    n, trials = inst.n_receivers, cfg.trials
+    draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((trials, n + 1))
+    sent = (draws[:, 0] >= inst.prior_1).astype(np.int8)
+    counts = (trials - int(sent.sum()), int(sent.sum()))
+    pair = make_state_pair(inst.overlap)
+    current = np.stack([pair[0].vector, pair[1].vector])[sent]
+    all_correct = np.ones(trials, dtype=bool)
+    per_receiver = []
+    for k, stage in enumerate(stages):
+        out1, out2 = (current @ b.T for b in stage.detectors)
+        q1 = np.clip(np.einsum("ij,ij->i", out1, out1), 0.0, 1.0)
+        q2 = np.clip(np.einsum("ij,ij->i", out2, out2), 0.0, 1.0)
+        guess = (draws[:, k + 1] >= q1).astype(np.int8)
+        correct = guess == sent
+        all_correct &= correct
+        per_receiver.append(tuple(
+            int(np.count_nonzero(correct[sent == i])) / counts[i] if counts[i] else math.nan
+            for i in (0, 1)
+        ))
+        norm = np.sqrt(np.where(guess == 0, q1, q2))
+        current = np.where((guess == 0)[:, None], out1, out2) / norm[:, None]
+    joint = int(np.count_nonzero(all_correct))
+    empirical = joint / trials
+    std_error = math.sqrt(empirical * (1.0 - empirical) / trials)
+    predicted = inst.prior_1 * math.prod(st.success.p1 for st in stages) + inst.prior_2 * (
+        math.prod(st.success.p2 for st in stages)
+    )
+    z_score = simulate._z_score(empirical, predicted, std_error)
+    return SimReport(
+        trials, joint, empirical, std_error, predicted, z_score, counts,
+        tuple(per_receiver), "philox4x64", cfg.seed,
+    )
+
+
+STRATEGIES = {
+    "JBG_OPTIMAL": optimize_reduced,
+    "JBG_SYMMETRIC_ANALYTIC": lambda inst: equal_prior_jbg(inst.overlap, inst.n_receivers),
+    "INDIVIDUAL_GREEDY": individual_greedy,
+    "BOUNDARY": boundary_solution,
+}
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("prior_1", [0.0, 0.35, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_matches_per_trial_walk(self, monkeypatch, strategy, n, prior_1):
+        inst = DiscriminationInstance(0.45, prior_1, n_receivers=n)
+        stages = build_chain(inst, STRATEGIES[strategy](inst))
+        cfg = SimConfig(seed=17, trials=20_001)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 4096)
+        assert run_chain_simulation(inst, stages, cfg) == _per_trial_walk(inst, stages, cfg)
+
+    def test_outcome_dependent_output_is_rejected(self):
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        tampered = [_rotate(stages[0]), stages[1]]
+        with pytest.raises(ValueError, match="stage 1: .*depends on the outcome"):
+            run_chain_simulation(inst, tampered, SimConfig(seed=1, trials=10))
+
+    def test_final_stage_output_is_free(self):
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        cfg = SimConfig(seed=1, trials=1000)
+        expected = run_chain_simulation(inst, stages, cfg)
+        assert run_chain_simulation(inst, [stages[0], _rotate(stages[1])], cfg) == expected
 
 
 class TestStatistics:
@@ -141,6 +214,14 @@ def _tamper(stage, row, col, amount):
         in_overlap=stage.in_overlap,
         out_overlap=stage.out_overlap,
     )
+
+
+def _rotate(stage, angle=0.1):
+    """``stage`` with B1 left-multiplied by a rotation: still complete, but
+    its outcome-1 output is turned away from its outcome-2 output."""
+    c, s = math.cos(angle), math.sin(angle)
+    rotated = np.array([[c, -s], [s, c]]) @ stage.detectors[0]
+    return dataclasses.replace(stage, detectors=(rotated, stage.detectors[1]))
 
 
 class TestBrokenStagesAreCaught:
