@@ -173,19 +173,11 @@ def p2_from_p1(p1: float, s_eff: float) -> float:
     which is the branch an optimizer should use. For p1 >= 1 - s_eff**2 the
     returned pair saturates distinguishability(p1, p2) = s_eff; below that the
     plus branch realizes the budget through the opposite relative sign of the
-    two square roots (see ``_p2_from_p1_minus`` for the other branch).
+    two square roots.
     """
     p1 = _check_unit_interval("p1", p1)
     s_eff = _check_unit_interval("s_eff", s_eff)
     root = s_eff * math.sqrt(1.0 - p1) + math.sqrt(p1 * (1.0 - s_eff * s_eff))
-    return min(root * root, 1.0)
-
-
-def _p2_from_p1_minus(p1: float, s_eff: float) -> float:
-    """Smaller constraint branch; kept for exhaustive brute-force searches."""
-    p1 = _check_unit_interval("p1", p1)
-    s_eff = _check_unit_interval("s_eff", s_eff)
-    root = s_eff * math.sqrt(1.0 - p1) - math.sqrt(p1 * (1.0 - s_eff * s_eff))
     return min(root * root, 1.0)
 
 

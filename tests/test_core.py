@@ -18,7 +18,6 @@ from guesschain import (
     p2_from_p1,
     stationarity_residual,
 )
-from guesschain.core import _p2_from_p1_minus
 
 
 class TestDistinguishability:
@@ -75,7 +74,9 @@ class TestP2FromP1:
     def test_plus_branch_dominates_minus(self):
         rng = np.random.default_rng(7)
         for p1, s_eff in rng.uniform(0.0, 1.0, size=(500, 2)):
-            assert p2_from_p1(p1, s_eff) >= _p2_from_p1_minus(p1, s_eff) - 1e-15
+            root = s_eff * math.sqrt(1.0 - p1) - math.sqrt(p1 * (1.0 - s_eff * s_eff))
+            minus = min(root * root, 1.0)
+            assert p2_from_p1(p1, s_eff) >= minus - 1e-15
 
     def test_constraint_saturated_on_feasible_region(self):
         """Round trip D(p1, p2(p1)) = s_eff wherever p1 >= 1 - s_eff^2."""
