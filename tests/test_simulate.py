@@ -104,9 +104,9 @@ def _per_trial_walk(inst, stages, cfg):
     joint = int(np.count_nonzero(all_correct))
     empirical = joint / trials
     std_error = math.sqrt(empirical * (1.0 - empirical) / trials)
-    predicted = inst.prior_1 * math.prod(st.success.p1 for st in stages) + inst.prior_2 * (
-        math.prod(st.success.p2 for st in stages)
-    )
+    prod1 = math.prod(st.success.p1 for st in stages)
+    prod2 = math.prod(st.success.p2 for st in stages)
+    predicted = inst.prior_1 * prod1 + inst.prior_2 * prod2
     z_score = simulate._z_score(empirical, predicted, std_error)
     return SimReport(
         trials, joint, empirical, std_error, predicted, z_score, counts,
