@@ -98,9 +98,8 @@ def _bisect_residual(
     return 0.5 * (lo + hi)
 
 
-def _solve_reduced(s: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
-    """Maximize the reduced objective; returns (p1, p2, joint)."""
-    s_eff = min(s ** (1.0 / n), 1.0)
+def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
+    """Maximize the reduced objective at budget ``s_eff``; returns (p1, p2, joint)."""
     phi = math.asin(s_eff)
     grid = np.linspace(0.0, 0.5 * math.pi, SCAN_POINTS)
     values = _objective(grid, phi, eta1, eta2, n)
@@ -149,11 +148,11 @@ def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:
     priors of an instance swaps (p1, p2) of the optimum bit-exactly: the
     solver canonicalizes to prior_1 >= prior_2 and mirrors the result back.
     """
-    n = inst.n_receivers
+    n, s_eff = inst.n_receivers, inst.effective_overlap
     if inst.prior_1 >= inst.prior_2:
-        p1, p2, joint = _solve_reduced(inst.overlap, n, inst.prior_1, inst.prior_2)
+        p1, p2, joint = _solve_reduced(s_eff, n, inst.prior_1, inst.prior_2)
     else:
-        p2, p1, joint = _solve_reduced(inst.overlap, n, inst.prior_2, inst.prior_1)
+        p2, p1, joint = _solve_reduced(s_eff, n, inst.prior_2, inst.prior_1)
     return StrategyResult(
         stages=tuple(SuccessPair(p1, p2) for _ in range(n)),
         overlaps=overlap_ladder(inst.overlap, n),

@@ -18,12 +18,14 @@ when the overlap budget is respected:
 
     distinguishability(p1, p2) * <v1|v2> = <psi1|psi2>
 
-``build_stage`` checks the budget to FEASIBILITY_ATOL and takes up its
-rounding with one Newton step on the amplitudes, if that moves them by at
-most STAGE_ATOL. It then scales both columns to unit length and takes one
-Gram-Schmidt step, so completeness holds to rounding. Identical inputs have
-no psi1 - psi2; their second column is the unit column perpendicular to the
-first within each detector.
+Writing p_i = cos^2(theta_i), the budget reads sin(theta1 + theta2) =
+t_in / t_out. ``_amplitudes`` fixes the amplitudes (cos, sin of theta_i) for
+``build_stage`` and ``validate`` alike: the member with the smaller p keeps
+(sqrt(p), sqrt(1 - p)), and the other takes the rest of the budget when its p
+equals the rest's cos^2 to rounding, since sqrt(1 - p) is lost as p nears 1.
+``build_stage`` then scales both columns to unit length and takes one
+Gram-Schmidt step, so completeness holds to rounding; if nothing of the second
+column is left, it is the unit column perpendicular to the first per detector.
 
 Overlaps, amplitudes and detectors are real throughout (float64); states are
 compared up to sign.
@@ -41,7 +43,6 @@ from .core import (
     StrategyResult,
     SuccessPair,
     _check_unit_interval,
-    distinguishability,
 )
 
 __all__ = [
@@ -144,17 +145,18 @@ class MeasurementStage:
             if float(eigs.min()) < -1e-12:
                 raise ValueError(f"POVM element {i} not positive: min eig {eigs.min():.3e}")
         psi1, psi2 = make_state_pair(self.in_overlap)
+        r1, w1, r2, w2 = _amplitudes(self.in_overlap, self.success, self.out_overlap)
         expected = (
-            (b1 @ psi1.vector, self.success.p1, self.outputs[0]),
-            (b2 @ psi1.vector, 1.0 - self.success.p1, self.outputs[0]),
-            (b1 @ psi2.vector, 1.0 - self.success.p2, self.outputs[1]),
-            (b2 @ psi2.vector, self.success.p2, self.outputs[1]),
+            (b1 @ psi1.vector, r1, self.outputs[0]),
+            (b2 @ psi1.vector, w1, self.outputs[0]),
+            (b1 @ psi2.vector, w2, self.outputs[1]),
+            (b2 @ psi2.vector, r2, self.outputs[1]),
         )
-        for out_vec, weight, target in expected:
+        for out_vec, amplitude, target in expected:
             norm = float(np.linalg.norm(out_vec))
-            if abs(norm - math.sqrt(max(weight, 0.0))) > STAGE_ATOL:
+            if abs(norm - amplitude) > STAGE_ATOL:
                 raise ValueError(
-                    f"action amplitude mismatch: |B psi| = {norm!r}, expected sqrt({weight!r})"
+                    f"action amplitude mismatch: |B psi| = {norm!r}, expected {amplitude!r}"
                 )
             if norm > 1e-8:
                 fid = float(np.dot(target.vector, out_vec / norm) ** 2)
@@ -165,6 +167,37 @@ class MeasurementStage:
             raise ValueError(
                 f"output overlap {out_overlap!r} differs from declared {self.out_overlap!r}"
             )
+
+
+def _amplitudes(in_overlap: float, success: SuccessPair, out_overlap: float) -> tuple[float, ...]:
+    """(r1, w1, r2, w2) with B1 psi1 = r1 v1, B2 psi1 = w1 v1, B1 psi2 = w2 v2 and
+    B2 psi2 = r2 v2. With sin(phi) = t_in / t_out, the budget's rest is
+    phi - theta_a above guessing (p1 + p2 >= 1) and pi - phi - theta_a below it;
+    theta_a itself is capped at phi where p_a is cos^2(phi) to rounding.
+    """
+    if in_overlap == 1.0 and out_overlap < 1.0:
+        raise DegenerateInput("identical input states cannot be split into distinct outputs")
+    p1, p2 = success
+    swap = p1 > p2
+    p_a, p_b = (p2, p1) if swap else (p1, p2)
+    r_a, w_a = math.sqrt(p_a), math.sqrt(max(0.0, 1.0 - p_a))
+    r_b, w_b = math.sqrt(p_b), math.sqrt(max(0.0, 1.0 - p_b))
+    phi = math.asin(min(in_overlap / out_overlap, 1.0)) if out_overlap else 0.5 * math.pi
+    above = p_a + p_b >= 1.0
+    theta_a = math.atan2(w_a, r_a)
+    if above and theta_a > phi and abs(math.cos(phi) ** 2 - p_a) <= 2.0 * math.ulp(1.0):
+        theta_a, r_a, w_a = phi, math.cos(phi), math.sin(phi)
+    rest = max(phi - theta_a, 0.0) if above else math.pi - phi - theta_a
+    if abs(math.cos(rest) ** 2 - p_b) <= 2.0 * math.ulp(1.0):
+        r_b, w_b = math.cos(rest), math.sin(rest)
+    r1, w1, r2, w2 = (r_b, w_b, r_a, w_a) if swap else (r_a, w_a, r_b, w_b)
+    required = (r1 * w2 + w1 * r2) * out_overlap
+    if abs(required - in_overlap) > FEASIBILITY_ATOL:
+        raise InfeasibleStage(
+            f"overlap budget violated: distinguishability * t_out = {required!r} "
+            f"but t_in = {in_overlap!r}"
+        )
+    return r1, w1, r2, w2
 
 
 def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> MeasurementStage:
@@ -180,41 +213,9 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
     """
     in_overlap = _check_unit_interval("in_overlap", in_overlap)
     out_overlap = _check_unit_interval("out_overlap", out_overlap)
-    p1, p2 = success
-    identical = in_overlap >= 1.0 - 1e-12
-    if identical:
-        # Only an output-merging stage is possible, and the budget
-        # (distinguishability must equal 1) forces p2 = 1 - p1.
-        if out_overlap < 1.0 - 1e-12:
-            raise DegenerateInput(
-                "identical input states cannot be split into distinct outputs"
-            )
-        if abs(p2 - (1.0 - p1)) > FEASIBILITY_ATOL:
-            raise InfeasibleStage(
-                f"success pair {success} incompatible with identical inputs "
-                "(needs p2 = 1 - p1)"
-            )
-        out_overlap = 1.0
-        miss = 0.0
-    else:
-        required = distinguishability(p1, p2) * out_overlap
-        miss = in_overlap - required
-        if abs(miss) > FEASIBILITY_ATOL:
-            raise InfeasibleStage(
-                f"overlap budget violated: distinguishability * t_out = {required!r} "
-                f"but t_in = {in_overlap!r}"
-            )
+    r1, w1, r2, w2 = _amplitudes(in_overlap, success, out_overlap)
     outputs = make_state_pair(out_overlap)
     c, s = outputs[0].amplitudes
-    r1, w1 = math.sqrt(p1), math.sqrt(max(0.0, 1.0 - p1))
-    r2, w2 = math.sqrt(p2), math.sqrt(max(0.0, 1.0 - p2))
-    # Rounding left in the budget goes into the amplitudes (one Newton step on
-    # the angles of (r1, w1) and (w2, r2)) rather than into the direction of a
-    # small image, unless that moves them by more than STAGE_ATOL.
-    slope = 2.0 * out_overlap * (r1 * r2 - w1 * w2)
-    step = miss / slope if slope else 0.0
-    if abs(step) <= STAGE_ATOL:
-        r1, w1, r2, w2 = r1 - step * w1, w1 + step * r1, r2 - step * w2, w2 + step * r2
     # Images of psi1 + psi2 and psi1 - psi2 under [B1; B2], from
     # [B1; B2] psi1 = [r1 v1; w1 v1] and [B1; B2] psi2 = [w2 v2; r2 v2],
     # where v1,2 = (c, +-s).
@@ -225,7 +226,7 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
     dot = sum(x * y for x, y in zip(even, odd))
     odd = [y - dot * x for x, y in zip(even, odd)]
     norm = math.hypot(*odd)
-    if identical or norm == 0.0:
+    if norm == 0.0:
         # psi1 - psi2 has no image to follow: take the unit column
         # perpendicular to the first within each detector's block.
         odd, norm = [-even[1], even[0], -even[3], even[2]], 1.0

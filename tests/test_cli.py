@@ -87,23 +87,17 @@ class TestOptimizeCommand:
             ("--overlap", "0.5", "--prior", "0.5", "--receivers", "8"),
             ("--strategy", "INDIVIDUAL_GREEDY", "--overlap", "1", "--prior", "0.3",
              "--receivers", "2"),
+            ("--strategy", "INDIVIDUAL_GREEDY", "--overlap", "0.4", "--prior", "0.999999997",
+             "--receivers", "2"),
+            ("--strategy", "BOUNDARY", "--overlap", "0.9999999999573461", "--prior", "0",
+             "--receivers", "128"),
+            ("--overlap", "0.7", "--prior", "0.5", "--receivers", "8"),
+            ("--overlap", "0.7", "--prior", "0.5", "--receivers", "128"),
         ],
     )
     def test_emit_stages_near_rounding_limits(self, args, capsys):
         assert main(["optimize", *args, "--emit-stages"]) == 0
         assert len(json.loads(capsys.readouterr().out)["measurement_stages"]) == int(args[-1])
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="optimum p2 = 1 - 2.2e-16 is too close to 1 for the float success "
-        "pair to meet the overlap budget",
-    )
-    def test_emit_stages_success_within_rounding_of_one(self, capsys):
-        code = main(
-            ["optimize", "--overlap", "0.7", "--prior", "0.5", "--receivers", "128",
-             "--emit-stages"]
-        )
-        assert code == 0
 
 
 class TestSweepCommand:

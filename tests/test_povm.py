@@ -302,6 +302,25 @@ class TestChainConditioning:
             stage.validate()
             assert _completeness_defect(stage) <= 1e-14
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 32),
+        overlap=st.floats(0.0, 1.0),
+        exponent=st.floats(-16.0, -4.0),
+        near_one=st.booleans(),
+        solver=st.sampled_from((*SOLVERS, symmetric_solution)),
+    )
+    def test_extreme_priors_build(self, n, overlap, exponent, near_one, solver):
+        # Success probabilities within rounding of 1 lose sqrt(1 - p); the
+        # stage takes that amplitude from the rest of the overlap budget.
+        prior = 1.0 - 10.0**exponent if near_one else 10.0**exponent
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        stages = build_chain(inst, solver(inst))
+        assert len(stages) == n
+        for stage in stages:
+            stage.validate()
+            assert _completeness_defect(stage) <= 1e-14
+
 
 class TestStageValidation:
     def test_tampered_detector_is_caught(self):
