@@ -7,11 +7,13 @@ The interior problem is one-dimensional after the chain reduction: maximize
 over theta1 in [0, pi/2], where phi = arcsin(s**(1/N)), p1 = cos^2(theta1) and
 p2 = cos^2(phi - theta1). Working in theta1 rather than p1 keeps the
 derivative finite at p1 in {0, 1}, so interior maxima are ordinary roots of
-the stationarity residual (core.stationarity_residual == -g'/(2N)).
+the stationarity residual (core.stationarity_residual == -g'/(2N)). On
+(phi, pi/2] both terms fall, since theta1 and theta1 - phi both grow there,
+so the maximum lies in [0, phi] and the solver scans only that interval.
 
-``optimize_reduced`` is the production path: a deterministic coarse scan,
-bisection refinement of every bracketed stationary point, and explicit
-endpoint evaluation. ``grid_search_oracle`` (pure scan, no refinement) and
+``optimize_reduced`` is the production path: a deterministic coarse scan of
+[0, phi] and bisection of the residual's sign change around every sampled
+local maximum, the two ends of the scan included. ``grid_search_oracle`` (pure scan, no refinement) and
 ``optimize_full_chain`` (search over the *unreduced* per-receiver variables
 with the final receiver solved in closed form) exist to validate the
 production path and the chain reduction itself, so they deliberately share as
@@ -101,30 +103,22 @@ def _bisect_residual(
 def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
     """Maximize the reduced objective at budget ``s_eff``; returns (p1, p2, joint)."""
     phi = math.asin(s_eff)
-    grid = np.linspace(0.0, 0.5 * math.pi, SCAN_POINTS)
+    grid = np.linspace(0.0, phi, SCAN_POINTS)
     values = _objective(grid, phi, eta1, eta2, n)
 
-    # Candidate thetas: both endpoints plus every refined interior local max.
-    candidates = [0.0, 0.5 * math.pi]
-    interior = (
-        (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
-    ).nonzero()[0] + 1
-    for i in interior:
-        lo, hi = grid[i - 1], grid[i + 1]
-        f_lo = _residual_theta(lo, phi, eta1, eta2, n)
-        f_hi = _residual_theta(hi, phi, eta1, eta2, n)
-        if f_lo < 0.0 < f_hi:
+    # Candidate thetas: every sampled local maximum, with -inf beyond both
+    # ends so that theta = 0 and theta = phi follow the interior rule. Strict
+    # on the left only, so a flat run gives one candidate.
+    padded = np.concatenate(([-np.inf], values, [-np.inf]))
+    peaks = ((padded[1:-1] > padded[:-2]) & (padded[1:-1] >= padded[2:])).nonzero()[0]
+    candidates = []
+    for i in peaks:
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, SCAN_POINTS - 1)]
+        if _residual_theta(lo, phi, eta1, eta2, n) < 0.0 < _residual_theta(hi, phi, eta1, eta2, n):
             candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n, REFINE_TOLERANCE))
         else:
-            # Flat or endpoint-adjacent plateau: keep the sampled point.
+            # No sign change across the neighbours: keep the sampled point.
             candidates.append(float(grid[i]))
-    # A maximum inside the first scan cell is no sampled local maximum, but
-    # the residual still changes sign across that cell.
-    lo, hi = grid[0], grid[1]
-    if values[0] >= values[1] and (
-        _residual_theta(lo, phi, eta1, eta2, n) < 0.0 < _residual_theta(hi, phi, eta1, eta2, n)
-    ):
-        candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n, REFINE_TOLERANCE))
 
     evaluated = []
     for theta in candidates:
