@@ -127,10 +127,14 @@ def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[floa
         evaluated.append((eta1 * p1**n + eta2 * p2**n, p1, p2))
     best_joint = max(e[0] for e in evaluated)
     # Tie window: prefer the most symmetric pair, then the larger p1, so the
-    # returned strategy is stable across platforms.
+    # returned strategy is stable across platforms. At equal priors the two
+    # mirror-image optima tie exactly and their |p1 - p2| differ only by
+    # rounding, so p1 >= p2 is imposed; the joint is the same either way.
     tied = [e for e in evaluated if e[0] >= best_joint - CANDIDATE_TOLERANCE]
     tied.sort(key=lambda e: (abs(e[1] - e[2]), -e[1]))
     _, p1, p2 = tied[0]
+    if eta1 == eta2 and p1 < p2:
+        p1, p2 = p2, p1
     return p1, p2, eta1 * p1**n + eta2 * p2**n
 
 

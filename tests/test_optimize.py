@@ -114,6 +114,13 @@ class TestOptimizeReduced:
             assert stage.p2 >= 1.0 - 1e-3
             assert drift <= 1e-2
 
+    @pytest.mark.parametrize("n", (2, 3, 5, 8, 16, 32))
+    def test_equal_priors_return_the_larger_p1(self, n):
+        # the mirror-image optima tie exactly; rounding must not pick p1 < p2
+        for s in np.linspace(0.0, 1.0, 101):
+            result = optimize_reduced(DiscriminationInstance(float(s), 0.5, n_receivers=n))
+            assert result.stages[0].p1 >= result.stages[0].p2
+
     def test_identical_states_single_receiver(self):
         result = optimize_reduced(DiscriminationInstance(1.0, 0.5, n_receivers=1))
         assert result.joint_success == pytest.approx(0.5, abs=1e-12)
