@@ -163,7 +163,7 @@ class MeasurementStage:
                 if fid < 1.0 - STAGE_ATOL:
                     raise ValueError(f"output state mismatch: fidelity {fid!r}")
         out_overlap = abs(float(np.dot(self.outputs[0].vector, self.outputs[1].vector)))
-        if abs(out_overlap - self.out_overlap) > STAGE_ATOL:
+        if not abs(out_overlap - self.out_overlap) <= STAGE_ATOL:  # NaN fails too
             raise ValueError(
                 f"output overlap {out_overlap!r} differs from declared {self.out_overlap!r}"
             )

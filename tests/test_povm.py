@@ -1,5 +1,6 @@
 """Detection-operator construction and POVM axioms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -337,6 +338,13 @@ class TestStageValidation:
         )
         with pytest.raises(ValueError):
             tampered.validate()
+
+    @pytest.mark.parametrize("out_overlap", (float("nan"), float("inf")))
+    def test_non_finite_out_overlap_is_rejected(self, out_overlap):
+        inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
+        stage = build_chain(inst, optimize_reduced(inst))[0]
+        with pytest.raises(ValueError):
+            dataclasses.replace(stage, out_overlap=out_overlap).validate()
 
     def test_imaginary_detector_is_rejected(self):
         stage = build_stage(0.4, SuccessPair(0.8, 0.7), 0.4 / distinguishability(0.8, 0.7))
