@@ -46,10 +46,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(ValueError):
-    """Flag validation failure; maps to exit code 2."""
-
-
 def _solve(inst: DiscriminationInstance, strategy: Strategy) -> StrategyResult:
     if strategy is Strategy.JBG_OPTIMAL:
         return optimize_reduced(inst)
@@ -64,7 +60,7 @@ def _solve(inst: DiscriminationInstance, strategy: Strategy) -> StrategyResult:
         return individual_greedy(inst)
     if strategy is Strategy.BOUNDARY:
         return boundary_solution(inst)
-    raise UsageError(f"unsupported strategy {strategy!r}")
+    raise ValueError(f"unsupported strategy {strategy!r}")
 
 
 def _parse_strategy(name: str) -> Strategy:
@@ -72,18 +68,15 @@ def _parse_strategy(name: str) -> Strategy:
         return Strategy[name.upper().replace("-", "_")]
     except KeyError:
         valid = ", ".join(s.name for s in Strategy)
-        raise UsageError(f"unknown strategy {name!r} (expected one of: {valid})") from None
+        raise ValueError(f"unknown strategy {name!r} (expected one of: {valid})") from None
 
 
 def _instance_from_args(args: argparse.Namespace) -> DiscriminationInstance:
-    try:
-        return DiscriminationInstance(
-            overlap=args.overlap,
-            prior_1=args.prior,
-            n_receivers=args.receivers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return DiscriminationInstance(
+        overlap=args.overlap,
+        prior_1=args.prior,
+        n_receivers=args.receivers,
+    )
 
 
 def _cell(x: float) -> list[float]:
@@ -143,11 +136,11 @@ def _float_cell(x: float) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     strategies = [_parse_strategy(name) for name in args.strategies.split(",") if name]
     if not strategies:
-        raise UsageError("at least one strategy must be requested")
+        raise ValueError("at least one strategy must be requested")
     if args.points < 2:
-        raise UsageError(f"--points must be >= 2, got {args.points}")
+        raise ValueError(f"--points must be >= 2, got {args.points}")
     if not (0.0 <= args.start <= 1.0 and 0.0 <= args.stop <= 1.0):
-        raise UsageError("--start/--stop must lie in [0, 1]")
+        raise ValueError("--start/--stop must lie in [0, 1]")
 
     def grid(start: float, stop: float, points: int) -> list[float]:
         step = (stop - start) / (points - 1)
@@ -161,9 +154,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fixed = {"overlap": args.overlap}
     else:  # both
         if args.prior_points < 2:
-            raise UsageError(f"--prior-points must be >= 2, got {args.prior_points}")
+            raise ValueError(f"--prior-points must be >= 2, got {args.prior_points}")
         if not (0.0 <= args.prior_start <= 1.0 and 0.0 <= args.prior_stop <= 1.0):
-            raise UsageError("--prior-start/--prior-stop must lie in [0, 1]")
+            raise ValueError("--prior-start/--prior-stop must lie in [0, 1]")
         axes = [
             ("overlap", grid(args.start, args.stop, args.points)),
             ("prior_1", grid(args.prior_start, args.prior_stop, args.prior_points)),
@@ -183,14 +176,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params = dict(fixed)
         for (name, _), value in zip(axes, coords):
             params[name] = value
-        try:
-            inst = DiscriminationInstance(
-                overlap=params["overlap"],
-                prior_1=params["prior_1"],
-                n_receivers=args.receivers,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        inst = DiscriminationInstance(
+            overlap=params["overlap"],
+            prior_1=params["prior_1"],
+            n_receivers=args.receivers,
+        )
         row = [_float_cell(c) for c in coords]
         for strategy in strategies:
             result = _solve(inst, strategy)
@@ -215,10 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
-    try:
-        cfg = SimConfig(seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = SimConfig(seed=args.seed, trials=args.trials)
     result = _solve(inst, _parse_strategy(args.strategy))
     stages = build_chain(inst, result)
     report = run_chain_simulation(inst, stages, cfg)
@@ -247,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_find_sb(args: argparse.Namespace) -> int:
     if args.receivers < 2:
-        raise UsageError("the threshold is only defined for 2 or more receivers")
+        raise ValueError("the threshold is only defined for 2 or more receivers")
     value = find_sb(args.receivers)
     _emit({"schema_version": SCHEMA_VERSION, "n": args.receivers, "s_b": value})
     return EXIT_OK
@@ -313,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
