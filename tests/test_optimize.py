@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesschain import (
     DiscriminationInstance,
@@ -16,6 +18,20 @@ from guesschain import (
     individual_greedy,
     optimize_full_chain,
     optimize_reduced,
+)
+from guesschain.optimize import CANDIDATE_TOLERANCE
+
+# Overlaps over [0, 1] with extra weight within 1e-12 of either end; priors
+# with extra weight on 0, 0.5, 1 and on 10^U(-16, -4) from 0 or 1.
+OVERLAPS = st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.0, 1e-12), st.floats(1.0 - 1e-12, 1.0)
+)
+TINY = st.floats(-16.0, -4.0).map(lambda e: 10.0**e)
+PRIORS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    TINY,
+    TINY.map(lambda x: 1.0 - x),
 )
 
 
@@ -142,6 +158,13 @@ class TestOptimizeReduced:
         theta = np.linspace(0.0, 1e-3, 100_001)
         dense = (1.0 - prior) * np.cos(theta) ** (2 * n) + prior * np.cos(phi - theta) ** (2 * n)
         assert result.joint_success >= float(dense.max()) - 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 32), overlap=OVERLAPS, prior=PRIORS)
+    def test_never_below_a_dense_scan(self, n, overlap, prior):
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        oracle = grid_search_oracle(inst, 20001)
+        assert optimize_reduced(inst).joint_success >= oracle.joint_success - CANDIDATE_TOLERANCE
 
 
 class TestGridSearchOracle:
