@@ -13,11 +13,11 @@ so the maximum lies in [0, phi] and the solver scans only that interval.
 
 ``optimize_reduced`` is the production path: a deterministic coarse scan of
 [0, phi] and bisection of the residual's sign change around every sampled
-local maximum, the two ends of the scan included. ``grid_search_oracle`` (pure scan, no refinement) and
-``optimize_full_chain`` (search over the *unreduced* per-receiver variables
-with the final receiver solved in closed form) exist to validate the
-production path and the chain reduction itself, so they deliberately share as
-little machinery with it as possible.
+local maximum, the two ends of the scan included. ``grid_search_oracle``
+(pure scan over [0, pi/2], no refinement) and ``optimize_full_chain`` (search
+over the *unreduced* per-receiver variables with the final receiver solved in
+closed form) exist to validate the production path and the chain reduction
+itself, so they deliberately share as little machinery with it as possible.
 """
 
 from __future__ import annotations
