@@ -51,6 +51,7 @@ __all__ = [
     "overlap_ladder",
     "p2_from_p1",
     "stationarity_residual",
+    "theta_residual",
 ]
 
 # Tolerated excursion outside [0, 1] before an argument is treated as a caller
@@ -181,28 +182,28 @@ def p2_from_p1(p1: float, s_eff: float) -> float:
     return min(root * root, 1.0)
 
 
+def theta_residual(theta: float, phi: float, eta1: float, eta2: float, n: int) -> float:
+    """-g'(theta)/(2N) for g = eta1 cos^2N(theta) + eta2 cos^2N(phi - theta), sin(phi) = s_eff;
+    a sign change from - to + brackets a local maximum of g."""
+    c1, s1 = math.cos(theta), math.sin(theta)
+    c2, s2 = math.cos(phi - theta), math.sin(phi - theta)
+    return eta1 * c1 ** (2 * n - 1) * s1 - eta2 * c2 ** (2 * n - 1) * s2
+
+
 def stationarity_residual(p1: float, inst: DiscriminationInstance) -> float:
     """Interior stationarity residual of the reduced joint objective.
 
-    Zero exactly at interior stationary points of
-    eta1 * p1**N + eta2 * p2(p1)**N when the objective is parametrized by
-    theta1 = arccos(sqrt(p1)) (the parametrization that stays differentiable
-    at p1 in {0, 1}); equal to -g'(theta1) / (2N) for that parametrization.
-    Only defined on the open interval 0 < p1 < 1.
+    ``theta_residual`` at theta1 = arccos(sqrt(p1)), the residual the reduced
+    solver bisects: zero exactly at interior stationary points of
+    eta1 * p1**N + eta2 * p2(p1)**N, and equal to -g'(theta1) / (2N) in the
+    parametrization that stays differentiable at p1 in {0, 1}. Only defined on
+    the open interval 0 < p1 < 1.
     """
     if not (0.0 < p1 < 1.0):
         raise ValueError(f"p1 must lie strictly inside (0, 1), got {p1!r}")
-    n = inst.n_receivers
-    s_eff = inst.effective_overlap
-    c2 = 1.0 - s_eff * s_eff
-    base = s_eff * math.sqrt(1.0 - p1) + math.sqrt(p1 * c2)
-    term1 = inst.prior_1 * p1 ** (n - 1) * math.sqrt(p1 * (1.0 - p1))
-    term2 = (
-        inst.prior_2
-        * base ** (2 * n - 1)
-        * (math.sqrt((1.0 - p1) * c2) - s_eff * math.sqrt(p1))
-    )
-    return term1 + term2
+    theta = math.atan2(math.sqrt(1.0 - p1), math.sqrt(p1))
+    phi = math.asin(inst.effective_overlap)
+    return theta_residual(theta, phi, inst.prior_1, inst.prior_2, inst.n_receivers)
 
 
 def overlap_ladder(s: float, n: int) -> tuple[float, ...]:

@@ -7,9 +7,9 @@ The interior problem is one-dimensional after the chain reduction: maximize
 over theta1 in [0, pi/2], where phi = arcsin(s**(1/N)), p1 = cos^2(theta1) and
 p2 = cos^2(phi - theta1). Working in theta1 rather than p1 keeps the
 derivative finite at p1 in {0, 1}, so interior maxima are ordinary roots of
-the stationarity residual (core.stationarity_residual == -g'/(2N)). On
-(phi, pi/2] both terms fall, since theta1 and theta1 - phi both grow there,
-so the maximum lies in [0, phi] and the solver scans only that interval.
+the stationarity residual (core.theta_residual == -g'/(2N)). On (phi, pi/2]
+both terms fall, since theta1 and theta1 - phi both grow there, so the
+maximum lies in [0, phi] and the solver scans only that interval.
 
 ``optimize_reduced`` is the production path: a deterministic coarse scan of
 [0, phi] and bisection of the residual's sign change around every sampled
@@ -36,6 +36,7 @@ from .core import (
     helstrom_success_pair,
     overlap_ladder,
     p2_from_p1,
+    theta_residual,
 )
 
 __all__ = [
@@ -76,21 +77,12 @@ def _objective(theta: np.ndarray, phi: float, eta1: float, eta2: float, n: int) 
     return eta1 * p1**n + eta2 * p2**n
 
 
-def _residual_theta(theta: float, phi: float, eta1: float, eta2: float, n: int) -> float:
-    # -g'(theta)/(2N): sign change from - to + brackets a local maximum of g.
-    c1, s1 = math.cos(theta), math.sin(theta)
-    c2, s2 = math.cos(phi - theta), math.sin(phi - theta)
-    return eta1 * c1 ** (2 * n - 1) * s1 - eta2 * c2 ** (2 * n - 1) * s2
-
-
-def _bisect_residual(
-    lo: float, hi: float, phi: float, eta1: float, eta2: float, n: int, tol: float
-) -> float:
-    """Bisect a (-,+) sign change of the residual down to bracket width tol."""
-    f_lo = _residual_theta(lo, phi, eta1, eta2, n)
-    while hi - lo > tol:
+def _bisect_residual(lo: float, hi: float, phi: float, eta1: float, eta2: float, n: int) -> float:
+    """Bisect a (-,+) sign change of the residual down to REFINE_TOLERANCE."""
+    f_lo = theta_residual(lo, phi, eta1, eta2, n)
+    while hi - lo > REFINE_TOLERANCE:
         mid = 0.5 * (lo + hi)
-        f_mid = _residual_theta(mid, phi, eta1, eta2, n)
+        f_mid = theta_residual(mid, phi, eta1, eta2, n)
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
@@ -114,8 +106,8 @@ def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[floa
     candidates = []
     for i in peaks:
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, SCAN_POINTS - 1)]
-        if _residual_theta(lo, phi, eta1, eta2, n) < 0.0 < _residual_theta(hi, phi, eta1, eta2, n):
-            candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n, REFINE_TOLERANCE))
+        if theta_residual(lo, phi, eta1, eta2, n) < 0.0 < theta_residual(hi, phi, eta1, eta2, n):
+            candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n))
         else:
             # No sign change across the neighbours: keep the sampled point.
             candidates.append(float(grid[i]))
