@@ -7,12 +7,16 @@ The interior problem is one-dimensional after the chain reduction: maximize
 over theta1 in [0, pi/2], where phi = arcsin(s**(1/N)), p1 = cos^2(theta1) and
 p2 = cos^2(phi - theta1). Working in theta1 rather than p1 keeps the
 derivative finite at p1 in {0, 1}, so interior maxima are ordinary roots of
-the stationarity residual (core.theta_residual == -g'/(2N)). On (phi, pi/2]
-both terms fall, since theta1 and theta1 - phi both grow there, so the
-maximum lies in [0, phi] and the solver scans only that interval.
+the stationarity residual (core.theta_residual == -g'/(2N)). Both terms fall
+on (phi, pi/2], and once eta1 >= eta2 (the order ``optimize_reduced`` uses)
+
+    g(theta1) - g(phi - theta1) = (eta1 - eta2) * (cos^2N(theta1) - cos^2N(phi - theta1))
+
+is >= 0 for theta1 <= phi/2, so the maximum lies in the likelier state's half
+[0, phi/2] and the solver scans only that.
 
 ``optimize_reduced`` is the production path: a deterministic coarse scan of
-[0, phi] and bisection of the residual's sign change around every sampled
+[0, phi/2] and bisection of the residual's sign change around every sampled
 local maximum, the two ends of the scan included. ``grid_search_oracle``
 (pure scan over [0, pi/2], no refinement) and ``optimize_full_chain`` (search
 over the *unreduced* per-receiver variables with the final receiver solved in
@@ -93,14 +97,14 @@ def _bisect_residual(lo: float, hi: float, phi: float, eta1: float, eta2: float,
 
 
 def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
-    """Maximize the reduced objective at budget ``s_eff``; returns (p1, p2, joint)."""
+    """Maximize g at budget ``s_eff`` for eta1 >= eta2; returns (p1, p2, joint)."""
     phi = math.asin(s_eff)
-    grid = np.linspace(0.0, phi, SCAN_POINTS)
+    grid = np.linspace(0.0, 0.5 * phi, SCAN_POINTS)
     values = _objective(grid, phi, eta1, eta2, n)
 
     # Candidate thetas: every sampled local maximum, with -inf beyond both
-    # ends so that theta = 0 and theta = phi follow the interior rule. Strict
-    # on the left only, so a flat run gives one candidate.
+    # ends so that theta = 0 and theta = phi/2 follow the interior rule.
+    # Strict on the left only, so a flat run gives one candidate.
     padded = np.concatenate(([-np.inf], values, [-np.inf]))
     peaks = ((padded[1:-1] > padded[:-2]) & (padded[1:-1] >= padded[2:])).nonzero()[0]
     candidates = []
@@ -118,14 +122,12 @@ def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[floa
         p2 = p2_from_p1(p1, s_eff)
         evaluated.append((eta1 * p1**n + eta2 * p2**n, p1, p2))
     best_joint = max(e[0] for e in evaluated)
-    # Tie window: prefer the most symmetric pair, then the larger p1, so the
-    # returned strategy is stable across platforms. At equal priors the two
-    # mirror-image optima tie exactly and their |p1 - p2| differ only by
-    # rounding, so p1 >= p2 is imposed; the joint is the same either way.
-    tied = [e for e in evaluated if e[0] >= best_joint - CANDIDATE_TOLERANCE]
-    tied.sort(key=lambda e: (abs(e[1] - e[2]), -e[1]))
-    _, p1, p2 = tied[0]
-    if eta1 == eta2 and p1 < p2:
+    # Tie window: the candidates come in increasing theta, and the last tied
+    # one is nearest phi/2, the most symmetric pair (p1 - p2 = sin(phi) *
+    # sin(phi - 2 theta) falls as theta grows). On [0, phi/2] p1 >= p2, so the
+    # swap only undoes rounding at theta ~ phi/2.
+    _, p1, p2 = [e for e in evaluated if e[0] >= best_joint - CANDIDATE_TOLERANCE][-1]
+    if p1 < p2:
         p1, p2 = p2, p1
     return p1, p2, eta1 * p1**n + eta2 * p2**n
 
@@ -324,6 +326,8 @@ def find_sb(n: int) -> float:
     Bisects (to 1e-6 in s) the indicator "global optimum exceeds the
     symmetric value by more than CANDIDATE_TOLERANCE". The gap criterion
     is robust to whether the branch exchange is a pitchfork or a crossing.
+    The result is resolved only to 1e-6 absolute: from N ~ 14 on, s_b lies
+    below that resolution and the returned value (9.5e-7) is not s_b.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an int >= 2, got {n!r}")

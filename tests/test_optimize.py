@@ -22,16 +22,20 @@ from guesschain import (
 from guesschain.optimize import CANDIDATE_TOLERANCE
 
 # Overlaps over [0, 1] with extra weight within 1e-12 of either end; priors
-# with extra weight on 0, 0.5, 1 and on 10^U(-16, -4) from 0 or 1.
+# with extra weight on 0, 0.5, 1, on 10^U(-16, -4) from 0 or 1, and on
+# 0.5 +- k ulp (k = 1..40) or 0.5 +- 10^U(-16, -9).
 OVERLAPS = st.one_of(
     st.floats(0.0, 1.0), st.floats(0.0, 1e-12), st.floats(1.0 - 1e-12, 1.0)
 )
 TINY = st.floats(-16.0, -4.0).map(lambda e: 10.0**e)
+SIGN = st.sampled_from((-1.0, 1.0))
 PRIORS = st.one_of(
     st.floats(0.0, 1.0),
     st.sampled_from((0.0, 0.5, 1.0)),
     TINY,
     TINY.map(lambda x: 1.0 - x),
+    st.builds(lambda sign, k: 0.5 + sign * k * math.ulp(0.5), SIGN, st.integers(1, 40)),
+    st.builds(lambda sign, e: 0.5 + sign * 10.0**e, SIGN, st.floats(-16.0, -9.0)),
 )
 
 
@@ -132,10 +136,19 @@ class TestOptimizeReduced:
 
     @pytest.mark.parametrize("n", (2, 3, 5, 8, 16, 32))
     def test_equal_priors_return_the_larger_p1(self, n):
-        # the mirror-image optima tie exactly; rounding must not pick p1 < p2
+        # the mirror-image optima tie exactly; rounding must not pick p1 < p2,
+        # and just off equal priors the likelier state gets the larger p
         for s in np.linspace(0.0, 1.0, 101):
-            result = optimize_reduced(DiscriminationInstance(float(s), 0.5, n_receivers=n))
-            assert result.stages[0].p1 >= result.stages[0].p2
+            for prior in (0.5, 0.5000000000000001, 0.50000000001):
+                p1, p2 = optimize_reduced(
+                    DiscriminationInstance(float(s), prior, n_receivers=n)
+                ).stages[0]
+                assert p1 >= p2
+                if prior > 0.5:
+                    p1, p2 = optimize_reduced(
+                        DiscriminationInstance(float(s), 1.0 - prior, n_receivers=n)
+                    ).stages[0]
+                    assert p1 <= p2
 
     def test_identical_states_single_receiver(self):
         result = optimize_reduced(DiscriminationInstance(1.0, 0.5, n_receivers=1))
@@ -164,7 +177,12 @@ class TestOptimizeReduced:
     def test_never_below_a_dense_scan(self, n, overlap, prior):
         inst = DiscriminationInstance(overlap, prior, n_receivers=n)
         oracle = grid_search_oracle(inst, 20001)
-        assert optimize_reduced(inst).joint_success >= oracle.joint_success - CANDIDATE_TOLERANCE
+        result = optimize_reduced(inst)
+        assert result.joint_success >= oracle.joint_success - CANDIDATE_TOLERANCE
+        # the likelier state never gets the smaller success probability
+        p1, p2 = result.stages[0]
+        assert (inst.prior_1 > inst.prior_2) <= (p1 >= p2)
+        assert (inst.prior_2 > inst.prior_1) <= (p2 >= p1)
 
 
 class TestGridSearchOracle:
