@@ -138,7 +138,7 @@ class MeasurementStage:
         b1, b2 = self.detectors
         gram = b1.T @ b1 + b2.T @ b2
         defect = float(np.max(np.abs(gram - np.eye(2))))
-        if defect > STAGE_ATOL:
+        if not defect <= STAGE_ATOL:  # NaN fails too
             raise ValueError(f"completeness violated: max |B1+B1 + B2+B2 - I| = {defect:.3e}")
         for i, det in enumerate((b1, b2), start=1):
             eigs = np.linalg.eigvalsh(det.T @ det)
@@ -154,7 +154,7 @@ class MeasurementStage:
         )
         for out_vec, amplitude, target in expected:
             norm = float(np.linalg.norm(out_vec))
-            if abs(norm - amplitude) > STAGE_ATOL:
+            if not abs(norm - amplitude) <= STAGE_ATOL:
                 raise ValueError(
                     f"action amplitude mismatch: |B psi| = {norm!r}, expected {amplitude!r}"
                 )

@@ -346,6 +346,16 @@ class TestStageValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(stage, out_overlap=out_overlap).validate()
 
+    @pytest.mark.parametrize("k", (0, 1))
+    @pytest.mark.parametrize("cell", ((0, 0), (0, 1), (1, 0), (1, 1)))
+    def test_nan_detector_is_rejected(self, k, cell):
+        inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
+        stage = build_chain(inst, optimize_reduced(inst))[0]
+        detectors = [np.array(det, copy=True) for det in stage.detectors]
+        detectors[k][cell] = float("nan")
+        with pytest.raises(ValueError):
+            dataclasses.replace(stage, detectors=tuple(detectors)).validate()
+
     def test_imaginary_detector_is_rejected(self):
         stage = build_stage(0.4, SuccessPair(0.8, 0.7), 0.4 / distinguishability(0.8, 0.7))
         fields = dict(
