@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -240,6 +241,7 @@ def cmd_find_sb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guesschain",
@@ -296,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # parse_args leaves the parser unchanged, so in-process callers share one.
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

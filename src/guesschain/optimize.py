@@ -13,15 +13,32 @@ on (phi, pi/2], and once eta1 >= eta2 (the order ``optimize_reduced`` uses)
     g(theta1) - g(phi - theta1) = (eta1 - eta2) * (cos^2N(theta1) - cos^2N(phi - theta1))
 
 is >= 0 for theta1 <= phi/2, so the maximum lies in the likelier state's half
-[0, phi/2] and the solver scans only that.
+[0, phi/2].
 
-``optimize_reduced`` is the production path: a deterministic coarse scan of
-[0, phi/2] and bisection of the residual's sign change around every sampled
-local maximum, the two ends of the scan included. ``grid_search_oracle``
-(pure scan over [0, pi/2], no refinement) and ``optimize_full_chain`` (search
-over the *unreduced* per-receiver variables with the final receiver solved in
-closed form) exist to validate the production path and the chain reduction
-itself, so they deliberately share as little machinery with it as possible.
+There g has exactly one maximum. Take eta1 >= eta2 > 0 and 0 < phi < pi/2.
+The residual
+
+    r(theta) = eta1 cos^(2N-1)(theta) sin(theta) - eta2 cos^(2N-1)(phi - theta) sin(phi - theta)
+
+has the sign of H(theta) + ln(eta1/eta2), where H(theta) = h(theta) -
+h(phi - theta) and h(x) = (2N - 1) ln cos x + ln sin x. H'(theta) has the sign
+of 2N cos(phi) - (2N - 2) cos(phi - 2 theta). On [0, phi/2] that expression
+is 2 cos(phi) > 0 at theta = 0, strictly decreases for N >= 2 and is constant
+at N = 1. So H either rises all the way or rises and then falls, and either
+way it runs from -inf at theta = 0 to H(phi/2) = 0. Hence H + ln(eta1/eta2)
+changes sign exactly once on (0, phi/2], from - to +, and that crossing is
+the unique maximum of g there. No scan is needed: ``optimize_reduced``
+bisects r on [0, phi/2] a fixed number of times. The cases eta2 = 0 (r >= 0,
+the bisection runs to theta = 0) and phi = 0 (an empty interval) need no
+branch of their own. At equal priors the crossing is phi/2 itself exactly
+when H' >= 0 there, that is when N cos(phi) >= N - 1, which gives the
+threshold s_b = ((2N - 1) / N**2)**(N/2) of the symmetric solution.
+
+``grid_search_oracle`` (pure scan over [0, pi/2], no refinement) and
+``optimize_full_chain`` (search over the *unreduced* per-receiver variables
+with the final receiver solved in closed form) exist to validate the
+production path and the chain reduction itself, so they deliberately share as
+little machinery with it as possible.
 """
 
 from __future__ import annotations
@@ -52,11 +69,9 @@ __all__ = [
 ]
 
 
-# Deterministic search parameters of the reduced 1-D problem: theta1 samples
-# of the coarse scan, bracket width at which bisection stops, and the joint
-# success window within which candidates count as tied.
-SCAN_POINTS = 2001
-REFINE_TOLERANCE = 1e-12
+# Bisection steps of the reduced solver: 54 halvings shrink [0, phi/2] below
+# one ulp of phi/2. Joint-success window of ``find_sb``'s symmetric-gap test.
+BISECTION_STEPS = 54
 CANDIDATE_TOLERANCE = 1e-10
 
 
@@ -81,52 +96,33 @@ def _objective(theta: np.ndarray, phi: float, eta1: float, eta2: float, n: int) 
     return eta1 * p1**n + eta2 * p2**n
 
 
-def _bisect_residual(lo: float, hi: float, phi: float, eta1: float, eta2: float, n: int) -> float:
-    """Bisect a (-,+) sign change of the residual down to REFINE_TOLERANCE."""
-    f_lo = theta_residual(lo, phi, eta1, eta2, n)
-    while hi - lo > REFINE_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        f_mid = theta_residual(mid, phi, eta1, eta2, n)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
     """Maximize g at budget ``s_eff`` for eta1 >= eta2; returns (p1, p2, joint)."""
     phi = math.asin(s_eff)
-    grid = np.linspace(0.0, 0.5 * phi, SCAN_POINTS)
-    values = _objective(grid, phi, eta1, eta2, n)
-
-    # Candidate thetas: every sampled local maximum, with -inf beyond both
-    # ends so that theta = 0 and theta = phi/2 follow the interior rule.
-    # Strict on the left only, so a flat run gives one candidate.
-    padded = np.concatenate(([-np.inf], values, [-np.inf]))
-    peaks = ((padded[1:-1] > padded[:-2]) & (padded[1:-1] >= padded[2:])).nonzero()[0]
-    candidates = []
-    for i in peaks:
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, SCAN_POINTS - 1)]
-        if theta_residual(lo, phi, eta1, eta2, n) < 0.0 < theta_residual(hi, phi, eta1, eta2, n):
-            candidates.append(_bisect_residual(lo, hi, phi, eta1, eta2, n))
+    # residual(lo) < 0 <= residual(hi) throughout; the one sign change on
+    # [0, phi/2] is the maximum (module docstring).
+    lo, hi = 0.0, 0.5 * phi
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if theta_residual(mid, phi, eta1, eta2, n) < 0.0:
+            lo = mid
         else:
-            # No sign change across the neighbours: keep the sampled point.
-            candidates.append(float(grid[i]))
+            hi = mid
 
-    evaluated = []
-    for theta in candidates:
+    def evaluate(theta: float) -> tuple[float, float, float]:
         p1 = math.cos(theta) ** 2
         p2 = p2_from_p1(p1, s_eff)
-        evaluated.append((eta1 * p1**n + eta2 * p2**n, p1, p2))
-    best_joint = max(e[0] for e in evaluated)
-    # Tie window: the candidates come in increasing theta, and the last tied
-    # one is nearest phi/2, the most symmetric pair (p1 - p2 = sin(phi) *
-    # sin(phi - 2 theta) falls as theta grows). On [0, phi/2] p1 >= p2, so the
-    # swap only undoes rounding at theta ~ phi/2.
-    _, p1, p2 = [e for e in evaluated if e[0] >= best_joint - CANDIDATE_TOLERANCE][-1]
+        return p1, p2, eta1 * p1**n + eta2 * p2**n
+
+    p1, p2, joint = evaluate(0.5 * (lo + hi))
+    at_half = evaluate(0.5 * phi)
+    # At equal priors phi/2 is the maximum exactly when N cos(phi) >= N - 1
+    # (module docstring), though rounding can make theta* evaluate higher.
+    # Elsewhere take the higher of the two; a tie goes to phi/2, the most
+    # symmetric pair.
+    if (eta1 == eta2 and n * math.cos(phi) >= n - 1) or at_half[2] >= joint:
+        p1, p2, joint = at_half
+    # On [0, phi/2] p1 >= p2; the swap only undoes rounding at theta ~ phi/2.
     if p1 < p2:
         p1, p2 = p2, p1
     return p1, p2, eta1 * p1**n + eta2 * p2**n

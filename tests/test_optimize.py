@@ -19,6 +19,7 @@ from guesschain import (
     optimize_full_chain,
     optimize_reduced,
 )
+from guesschain.core import p2_from_p1
 from guesschain.optimize import CANDIDATE_TOLERANCE
 
 # Overlaps over [0, 1] with extra weight within 1e-12 of either end; priors
@@ -37,6 +38,15 @@ PRIORS = st.one_of(
     st.builds(lambda sign, k: 0.5 + sign * k * math.ulp(0.5), SIGN, st.integers(1, 40)),
     st.builds(lambda sign, e: 0.5 + sign * 10.0**e, SIGN, st.floats(-16.0, -9.0)),
 )
+# Overlaps 10^U(-30, -6), 1 - 10^U(-12, -1), or exactly 0 or 1: there g is
+# flat to rounding or nearly so.
+EXTREME_OVERLAPS = st.one_of(
+    st.floats(-30.0, -6.0).map(lambda e: 10.0**e),
+    st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+    st.sampled_from((0.0, 1.0)),
+)
+# Chain lengths 1..200, weighted to short chains, where n * phi**2 gets smallest.
+RECEIVERS = st.one_of(st.integers(1, 8), st.integers(1, 200))
 
 
 class TestOptimizeReduced:
@@ -185,6 +195,60 @@ class TestOptimizeReduced:
             assert p1 >= p2
         if inst.prior_2 > inst.prior_1:
             assert p2 >= p1
+
+    def test_tiny_overlap_reaches_the_dense_scan(self):
+        # n * phi**2 ~ 1e-13: a scan of g sees only its rounding staircase
+        inst = DiscriminationInstance(1.9749263749934958e-13, 0.9481587685668622, n_receivers=2)
+        oracle = grid_search_oracle(inst, 20001)
+        assert optimize_reduced(inst).joint_success >= oracle.joint_success
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=RECEIVERS, overlap=EXTREME_OVERLAPS, prior=PRIORS)
+    def test_within_four_ulp_of_a_dense_scan(self, n, overlap, prior):
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        oracle = grid_search_oracle(inst, 20001).joint_success
+        assert optimize_reduced(inst).joint_success >= oracle - 4 * math.ulp(oracle)
+
+    @pytest.mark.parametrize("n", (1, 2, 8, 200))
+    @pytest.mark.parametrize("overlap", (0.3, 0.9, 1.0))
+    def test_certain_state_is_always_guessed_right(self, n, overlap):
+        # eta2 = 0: the residual is >= 0 on all of [0, phi/2], so theta1 = 0
+        certain_1 = optimize_reduced(DiscriminationInstance(overlap, 1.0, n_receivers=n))
+        certain_2 = optimize_reduced(DiscriminationInstance(overlap, 0.0, n_receivers=n))
+        assert certain_1.stages[0].p1 == 1.0
+        assert certain_2.stages[0].p2 == 1.0
+
+    @pytest.mark.parametrize("n", (1, 2, 8, 200))
+    @pytest.mark.parametrize("prior", (0.0, 0.3, 0.5, 1.0))
+    def test_orthogonal_states_are_both_guessed_right(self, n, prior):
+        result = optimize_reduced(DiscriminationInstance(0.0, prior, n_receivers=n))
+        assert tuple(result.stages[0]) == (1.0, 1.0)
+        assert result.joint_success == 1.0
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 8, 16, 32, 200))
+    def test_equal_priors_below_threshold_give_the_half_angle_pair(self, n):
+        s_b = ((2 * n - 1) / n**2) ** (n / 2)
+        for s in np.linspace(0.0, s_b * (1.0 - 1e-9), 200):
+            result = optimize_reduced(DiscriminationInstance(float(s), 0.5, n_receivers=n))
+            s_eff = float(s) ** (1.0 / n)
+            p = math.cos(0.5 * math.asin(s_eff)) ** 2
+            q = p2_from_p1(p, s_eff)
+            assert tuple(result.stages[0]) == (max(p, q), min(p, q))
+
+
+class TestUnimodality:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=RECEIVERS, overlap=st.one_of(OVERLAPS, EXTREME_OVERLAPS), prior=PRIORS)
+    def test_objective_rises_then_falls_on_the_likelier_half(self, n, overlap, prior):
+        # the proof in the optimize module docstring, checked without the solver
+        eta1, eta2 = max(prior, 1.0 - prior), min(prior, 1.0 - prior)
+        phi = math.asin(overlap ** (1.0 / n))
+        theta = np.linspace(0.0, 0.5 * phi, 4001)
+        g = eta1 * np.cos(theta) ** (2 * n) + eta2 * np.cos(phi - theta) ** (2 * n)
+        peak = int(np.argmax(g))
+        rounding = 16 * math.ulp(float(g[peak]))
+        assert np.diff(g[: peak + 1]).min(initial=0.0) >= -rounding
+        assert np.diff(g[peak:]).max(initial=0.0) <= rounding
 
 
 class TestGridSearchOracle:
