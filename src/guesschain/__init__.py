@@ -22,6 +22,7 @@ from .optimize import (
     grid_search_oracle,
     optimize_full_chain,
     optimize_reduced,
+    optimize_reduced_column,
 )
 from .povm import (
     DegenerateInput,
@@ -70,6 +71,7 @@ __all__ = [
     "make_state_pair",
     "optimize_full_chain",
     "optimize_reduced",
+    "optimize_reduced_column",
     "overlap_ladder",
     "p2_from_p1",
     "run_chain_simulation",

@@ -33,7 +33,7 @@ from .core import (
     equal_prior_jbg,
     individual_greedy,
 )
-from .optimize import find_sb, optimize_reduced
+from .optimize import find_sb, optimize_reduced, optimize_reduced_column
 from .povm import MeasurementStage, build_chain
 from .simulate import SimConfig, run_chain_simulation
 
@@ -169,28 +169,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         prefix = strategy.name.lower()
         header += [f"{prefix}_joint_success", f"{prefix}_p1", f"{prefix}_p2"]
 
-    rows = []
     points = [[value] for value in axes[0][1]]
     if len(axes) == 2:
         points = [[a, b] for a in axes[0][1] for b in axes[1][1]]  # row-major
+    insts = []
     for coords in points:
         params = dict(fixed)
         for (name, _), value in zip(axes, coords):
             params[name] = value
-        inst = DiscriminationInstance(
-            overlap=params["overlap"],
-            prior_1=params["prior_1"],
-            n_receivers=args.receivers,
+        insts.append(
+            DiscriminationInstance(
+                overlap=params["overlap"],
+                prior_1=params["prior_1"],
+                n_receivers=args.receivers,
+            )
         )
-        row = [_float_cell(c) for c in coords]
-        for strategy in strategies:
-            result = _solve(inst, strategy)
-            row += [
-                _float_cell(result.joint_success),
-                _float_cell(result.stages[0].p1),
-                _float_cell(result.stages[0].p2),
-            ]
-        rows.append(row)
+
+    rows = [[_float_cell(c) for c in coords] for coords in points]
+    for strategy in strategies:
+        if strategy is Strategy.JBG_OPTIMAL:
+            # One batched bisection for the column, bit-identical to
+            # optimize_reduced on each instance.
+            column = optimize_reduced_column(insts)
+        else:
+            results = (_solve(inst, strategy) for inst in insts)
+            column = ((r.stages[0].p1, r.stages[0].p2, r.joint_success) for r in results)
+        for row, (p1, p2, joint) in zip(rows, column):
+            row += [_float_cell(joint), _float_cell(p1), _float_cell(p2)]
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -44,6 +44,7 @@ little machinery with it as possible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,7 @@ __all__ = [
     "grid_search_oracle",
     "optimize_full_chain",
     "optimize_reduced",
+    "optimize_reduced_column",
 ]
 
 
@@ -108,13 +110,20 @@ def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[floa
             lo = mid
         else:
             hi = mid
+    return _finish_reduced(0.5 * (lo + hi), phi, s_eff, n, eta1, eta2)
+
+
+def _finish_reduced(
+    theta: float, phi: float, s_eff: float, n: int, eta1: float, eta2: float
+) -> tuple[float, float, float]:
+    """(p1, p2, joint) from the bisected root ``theta``, for eta1 >= eta2."""
 
     def evaluate(theta: float) -> tuple[float, float, float]:
         p1 = math.cos(theta) ** 2
         p2 = p2_from_p1(p1, s_eff)
         return p1, p2, eta1 * p1**n + eta2 * p2**n
 
-    p1, p2, joint = evaluate(0.5 * (lo + hi))
+    p1, p2, joint = evaluate(theta)
     at_half = evaluate(0.5 * phi)
     # At equal priors phi/2 is the maximum exactly when N cos(phi) >= N - 1
     # (module docstring), though rounding can make theta* evaluate higher.
@@ -126,6 +135,50 @@ def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[floa
     if p1 < p2:
         p1, p2 = p2, p1
     return p1, p2, eta1 * p1**n + eta2 * p2**n
+
+
+def _libm_pow(x: np.ndarray, exponents: list[int]) -> np.ndarray:
+    # Python's float ** int calls the C library's pow, as math.pow does;
+    # np.power rounds differently on some inputs.
+    return np.fromiter(map(math.pow, x.tolist(), exponents), float, x.size)
+
+
+def optimize_reduced_column(
+    insts: Sequence[DiscriminationInstance],
+) -> list[tuple[float, float, float]]:
+    """``optimize_reduced``'s (p1, p2, joint) for every instance, bit for bit.
+
+    Runs the same ``BISECTION_STEPS`` halvings for all instances at once on
+    arrays, with the residual in ``core.theta_residual``'s operation order,
+    then finishes each instance through the scalar code. Bit identity needs
+    np.cos and np.sin to round as the C library does; phi comes from
+    math.asin and the powers from math.pow, because np.arcsin and np.power
+    round differently. A sweep solves its JBG_OPTIMAL column this way; one
+    instance is faster through ``optimize_reduced``.
+    """
+    n = [inst.n_receivers for inst in insts]
+    s_eff = [inst.effective_overlap for inst in insts]
+    eta1 = [max(inst.prior_1, inst.prior_2) for inst in insts]
+    eta2 = [min(inst.prior_1, inst.prior_2) for inst in insts]
+    phi = [math.asin(s) for s in s_eff]
+    exponents = [2 * m - 1 for m in n]
+    a_phi, a_eta1, a_eta2 = np.array(phi), np.array(eta1), np.array(eta2)
+    lo, hi = np.zeros(len(insts)), 0.5 * a_phi
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        rest = a_phi - mid
+        residual = (
+            a_eta1 * _libm_pow(np.cos(mid), exponents) * np.sin(mid)
+            - a_eta2 * _libm_pow(np.cos(rest), exponents) * np.sin(rest)
+        )
+        below = residual < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    column = []
+    for inst, theta, *args in zip(insts, (0.5 * (lo + hi)).tolist(), phi, s_eff, n, eta1, eta2):
+        p1, p2, joint = _finish_reduced(theta, *args)
+        column.append((p1, p2, joint) if inst.prior_1 >= inst.prior_2 else (p2, p1, joint))
+    return column
 
 
 def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:

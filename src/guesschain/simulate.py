@@ -86,8 +86,10 @@ class SimReport:
     ``per_receiver_success`` holds, for each receiver, the empirical
     conditional success rates (given state 1 sent, given state 2 sent); NaN
     when a state was never sampled. ``z_score`` is the joint-success deviation
-    in binomial standard errors (0 when the standard error vanishes and the
-    prediction matches exactly, +/-inf otherwise).
+    in binomial standard errors of the empirical rate. When no trial
+    succeeded it uses the predicted rate's standard error instead. When the
+    standard error still vanishes it is 0 if the prediction matches exactly,
+    and +/-inf otherwise.
     """
 
     trials: int
@@ -182,6 +184,10 @@ def run_chain_simulation(
     prod1 = math.prod(stage.success.p1 for stage in stages)
     prod2 = math.prod(stage.success.p2 for stage in stages)
     predicted = inst.prior_1 * prod1 + inst.prior_2 * prod2
+    score_error = std_error
+    if joint_successes == 0 and 0.0 < predicted < 1.0:
+        # No trial succeeded, so the empirical rate has no spread.
+        score_error = math.sqrt(predicted * (1.0 - predicted) / trials)
     # Integer ratios: bit-equal to the mean of the bool arrays they count.
     per_receiver = tuple(
         tuple(c / sent_counts[i] if sent_counts[i] else math.nan for i, c in enumerate(row))
@@ -193,7 +199,7 @@ def run_chain_simulation(
         empirical_joint=empirical,
         std_error=std_error,
         predicted_joint=predicted,
-        z_score=_z_score(empirical, predicted, std_error),
+        z_score=_z_score(empirical, predicted, score_error),
         per_state_counts=tuple(sent_counts),
         per_receiver_success=per_receiver,
         prng=PRNG_NAME,

@@ -164,6 +164,29 @@ class TestSweepCommand:
             gaps.append(abs(float(cells[1]) - float(cells[4])))
         assert max(gaps) < 1e-2
 
+    @pytest.mark.parametrize("n", (1, 2, 8))
+    def test_jbg_optimal_cells_equal_optimize(self, n, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code = main(
+            ["sweep", "--variable", "both", "--points", "9", "--prior-points", "9",
+             "--receivers", str(n), "--strategies", "BOUNDARY,JBG_OPTIMAL", "--out", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].endswith("jbg_optimal_joint_success,jbg_optimal_p1,jbg_optimal_p2")
+        # the grid holds overlaps 0 and 1 and priors 0, 1/2 and 1
+        assert {"0.0", "1.0"} <= {line.split(",")[0] for line in lines[1:]}
+        assert {"0.0", "0.5", "1.0"} <= {line.split(",")[1] for line in lines[1:]}
+        capsys.readouterr()
+        for line in lines[1:]:
+            overlap, prior, *cells = line.split(",")
+            main(["optimize", "--overlap", overlap, "--prior", prior, "--receivers", str(n)])
+            payload = json.loads(capsys.readouterr().out)
+            stage = payload["stages"][0]
+            assert cells[3:] == [
+                repr(payload["joint_success"]), repr(stage["p1"]), repr(stage["p2"])
+            ]
+
     def test_invalid_points_exits_2(self, tmp_path):
         code = main(
             ["sweep", "--variable", "prior", "--points", "1", "--receivers", "2",
@@ -209,6 +232,22 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert abs(payload["z_score"]) > 4.0
+
+    def test_no_success_gives_a_finite_score(self, capsys):
+        """0 of 20,000 trials succeed against a predicted 8.6e-5: the score
+        takes the predicted rate's standard error, and the JSON stays strict."""
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        code = main(
+            ["simulate", "--overlap", "0.9", "--prior", "0.5", "--receivers", "16",
+             "--strategy", "INDIVIDUAL_GREEDY", "--trials", "20000", "--seed", "7"]
+        )
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert code == 0
+        assert payload["joint_successes"] == 0
+        assert payload["z_score"] == pytest.approx(-1.314, abs=1e-3)
 
     def test_zero_trials_exits_2(self, capsys):
         code = main(

@@ -18,6 +18,7 @@ from guesschain import (
     individual_greedy,
     optimize_full_chain,
     optimize_reduced,
+    optimize_reduced_column,
 )
 from guesschain.core import p2_from_p1
 from guesschain.optimize import CANDIDATE_TOLERANCE
@@ -234,6 +235,32 @@ class TestOptimizeReduced:
             p = math.cos(0.5 * math.asin(s_eff)) ** 2
             q = p2_from_p1(p, s_eff)
             assert tuple(result.stages[0]) == (max(p, q), min(p, q))
+
+
+class TestOptimizeReducedColumn:
+    # Priors mixed within one column, so that a wrong elementwise mirror or
+    # mask shows up; the overlaps include the edges where g is flat to rounding.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 200),
+        column=st.lists(
+            st.tuples(st.one_of(OVERLAPS, EXTREME_OVERLAPS), PRIORS), min_size=1, max_size=64
+        ),
+    )
+    def test_bit_identical_to_single_solves(self, n, column):
+        insts = [DiscriminationInstance(s, prior, n_receivers=n) for s, prior in column]
+        for inst, batched in zip(insts, optimize_reduced_column(insts), strict=True):
+            single = optimize_reduced(inst)
+            assert batched == (*single.stages[0], single.joint_success)
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_sweep_grid_bit_identical_to_single_solves(self, n):
+        # np.power rounds x**(2N - 1) unlike the C library on some hosts and
+        # inputs; here it changed 19 of these 6,561 points at N = 2.
+        grid = np.linspace(0.0, 1.0, 81).tolist()
+        insts = [DiscriminationInstance(s, prior, n_receivers=n) for s in grid for prior in grid]
+        singles = [optimize_reduced(inst) for inst in insts]
+        assert optimize_reduced_column(insts) == [(*r.stages[0], r.joint_success) for r in singles]
 
 
 class TestUnimodality:
