@@ -137,10 +137,10 @@ def _finish_reduced(
     return p1, p2, eta1 * p1**n + eta2 * p2**n
 
 
-def _libm_pow(x: np.ndarray, exponents: list[int]) -> np.ndarray:
+def _libm_pow(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     # Python's float ** int calls the C library's pow, as math.pow does;
     # np.power rounds differently on some inputs.
-    return np.fromiter(map(math.pow, x.tolist(), exponents), float, x.size)
+    return np.fromiter(map(math.pow, x.tolist(), exponents.tolist()), float, x.size)
 
 
 def optimize_reduced_column(
@@ -151,27 +151,35 @@ def optimize_reduced_column(
     Runs the same ``BISECTION_STEPS`` halvings for all instances at once on
     arrays, with the residual in ``core.theta_residual``'s operation order,
     then finishes each instance through the scalar code. Bit identity needs
-    np.cos and np.sin to round as the C library does; phi comes from
-    math.asin and the powers from math.pow, because np.arcsin and np.power
-    round differently. A sweep solves its JBG_OPTIMAL column this way; one
-    instance is faster through ``optimize_reduced``.
+    np.cos and np.sin to round as the C library does. phi comes from
+    math.asin, because np.arcsin rounds differently. The powers come from
+    np.power, except where its rounding could change a step's decision;
+    there they come from math.pow. A sweep solves its JBG_OPTIMAL column
+    this way; one instance is faster through ``optimize_reduced``.
     """
     n = [inst.n_receivers for inst in insts]
     s_eff = [inst.effective_overlap for inst in insts]
     eta1 = [max(inst.prior_1, inst.prior_2) for inst in insts]
     eta2 = [min(inst.prior_1, inst.prior_2) for inst in insts]
     phi = [math.asin(s) for s in s_eff]
-    exponents = [2 * m - 1 for m in n]
     a_phi, a_eta1, a_eta2 = np.array(phi), np.array(eta1), np.array(eta2)
+    a_exp = 2.0 * np.array(n, dtype=float) - 1.0
     lo, hi = np.zeros(len(insts)), 0.5 * a_phi
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         rest = a_phi - mid
-        residual = (
-            a_eta1 * _libm_pow(np.cos(mid), exponents) * np.sin(mid)
-            - a_eta2 * _libm_pow(np.cos(rest), exponents) * np.sin(rest)
-        )
-        below = residual < 0.0
+        c1, s1, c2, s2 = np.cos(mid), np.sin(mid), np.cos(rest), np.sin(rest)
+        # The residual a - b is below 0 exactly when a < b. np.power is within
+        # a few ulp of the C library's pow, so its rounding can flip a < b
+        # only where a and b agree to 1e-12 or lie near underflow; there both
+        # are recomputed with libm.
+        a = a_eta1 * c1**a_exp * s1
+        b = a_eta2 * c2**a_exp * s2
+        near = np.flatnonzero(np.abs(a - b) <= 1e-12 * (a + b) + 1e-300)
+        if near.size:
+            a[near] = a_eta1[near] * _libm_pow(c1[near], a_exp[near]) * s1[near]
+            b[near] = a_eta2[near] * _libm_pow(c2[near], a_exp[near]) * s2[near]
+        below = a < b
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     column = []
