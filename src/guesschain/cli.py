@@ -29,9 +29,12 @@ from .core import (
     DiscriminationInstance,
     Strategy,
     StrategyResult,
+    boundary_point,
     boundary_solution,
     equal_prior_jbg,
+    greedy_point,
     individual_greedy,
+    symmetric_point,
 )
 from .optimize import find_sb, optimize_reduced, optimize_reduced_column
 from .povm import MeasurementStage, build_chain
@@ -51,12 +54,10 @@ def _solve(inst: DiscriminationInstance, strategy: Strategy) -> StrategyResult:
     if strategy is Strategy.JBG_OPTIMAL:
         return optimize_reduced(inst)
     if strategy is Strategy.JBG_SYMMETRIC_ANALYTIC:
-        symmetric = equal_prior_jbg(inst.overlap, inst.n_receivers)
         # Same symmetric stages; the joint is reweighted by the true priors
         # (the product can differ from p**N in the last bits).
-        return dataclasses.replace(
-            symmetric, joint_success=symmetric.recompute_joint(inst.prior_1, inst.prior_2)
-        )
+        symmetric = equal_prior_jbg(inst.overlap, inst.n_receivers)
+        return dataclasses.replace(symmetric, joint_success=symmetric_point(inst)[2])
     if strategy is Strategy.INDIVIDUAL_GREEDY:
         return individual_greedy(inst)
     if strategy is Strategy.BOUNDARY:
@@ -185,15 +186,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
 
+    # Each column equals the first stage and the joint of _solve, cell for
+    # cell: one batched bisection for JBG_OPTIMAL, bit-identical to
+    # optimize_reduced, and the closed forms point by point.
+    closed_form = {
+        Strategy.JBG_SYMMETRIC_ANALYTIC: symmetric_point,
+        Strategy.INDIVIDUAL_GREEDY: greedy_point,
+        Strategy.BOUNDARY: boundary_point,
+    }
     rows = [[_float_cell(c) for c in coords] for coords in points]
     for strategy in strategies:
         if strategy is Strategy.JBG_OPTIMAL:
-            # One batched bisection for the column, bit-identical to
-            # optimize_reduced on each instance.
             column = optimize_reduced_column(insts)
         else:
-            results = (_solve(inst, strategy) for inst in insts)
-            column = ((r.stages[0].p1, r.stages[0].p2, r.joint_success) for r in results)
+            column = map(closed_form[strategy], insts)
         for row, (p1, p2, joint) in zip(rows, column):
             row += [_float_cell(joint), _float_cell(p1), _float_cell(p2)]
 

@@ -25,13 +25,17 @@ receiver faces the same effective overlap ``s**(1/N)`` and uses the same
 This module holds the problem/result containers and all closed-form pieces of
 that reduced problem: the constraint, its solution branch p2(p1), the interior
 stationarity residual, the equal-prior symmetric solution, the per-receiver
-greedy (Helstrom) strategy, and the pinned boundary strategies. Everything is
-a pure function of its arguments (thread-safe by statelessness) in float64.
+greedy (Helstrom) strategy, and the pinned boundary strategies. Each of the
+last three has a ``*_point`` function that returns one instance's
+``(p1, p2, joint)``; its ``StrategyResult`` builder wraps that function, and a
+sweep calls it directly. Everything is a pure function of its arguments
+(thread-safe by statelessness) in float64.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,15 +46,18 @@ __all__ = [
     "Strategy",
     "StrategyResult",
     "SuccessPair",
+    "boundary_point",
     "boundary_solution",
     "distinguishability",
     "equal_prior_jbg",
+    "greedy_point",
     "helstrom_bound",
     "helstrom_success_pair",
     "individual_greedy",
     "overlap_ladder",
     "p2_from_p1",
     "stationarity_residual",
+    "symmetric_point",
     "theta_residual",
 ]
 
@@ -212,6 +219,10 @@ def overlap_ladder(s: float, n: int) -> tuple[float, ...]:
     return tuple(s ** ((n - k) / n) for k in range(n))
 
 
+def _symmetric_p(s: float, n: int) -> float:
+    return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - s ** (2.0 / n))))
+
+
 def equal_prior_jbg(s: float, n: int) -> StrategyResult:
     """Symmetric equal-prior solution p1 = p2 = (1 + sqrt(1 - s**(2/N))) / 2.
 
@@ -219,18 +230,27 @@ def equal_prior_jbg(s: float, n: int) -> StrategyResult:
     overlap, and is the global optimum below a chain-length-dependent overlap
     threshold (see ``optimize.find_sb``); above it, the interior optimum
     becomes asymmetric and this formula is only a local maximum. The result
-    is computed unconditionally and labeled JBG_SYMMETRIC_ANALYTIC.
+    is computed unconditionally and labeled JBG_SYMMETRIC_ANALYTIC; its joint
+    is p**N, the value at equal priors (``symmetric_point`` weights it by an
+    instance's priors).
     """
     s = _check_unit_interval("s", s)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
-    p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - s ** (2.0 / n))))
-    return StrategyResult(
-        stages=tuple(SuccessPair(p, p) for _ in range(n)),
-        overlaps=overlap_ladder(s, n),
-        joint_success=p**n,
-        strategy=Strategy.JBG_SYMMETRIC_ANALYTIC,
-    )
+    p = _symmetric_p(s, n)
+    return _uniform_chain(s, n, (p, p, p**n), Strategy.JBG_SYMMETRIC_ANALYTIC)
+
+
+def symmetric_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
+    """(p1, p2, joint) of the symmetric solution weighted by the instance's priors.
+
+    The joint is eta1 * P + eta2 * P with P the product of the N stage
+    probabilities taken in chain order, so it equals
+    ``equal_prior_jbg(s, N).recompute_joint(eta1, eta2)`` bit for bit.
+    """
+    p = _symmetric_p(inst.overlap, inst.n_receivers)
+    product = math.prod(itertools.repeat(p, inst.n_receivers))
+    return p, p, inst.prior_1 * product + inst.prior_2 * product
 
 
 def helstrom_bound(overlap: float, eta1: float, eta2: float) -> float:
@@ -261,6 +281,14 @@ def helstrom_success_pair(overlap: float, eta1: float, eta2: float) -> SuccessPa
     return SuccessPair(min(max(p1, 0.0), 1.0), min(max(p2, 0.0), 1.0))
 
 
+def greedy_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
+    """(p1, p2, joint) of ``individual_greedy``: the Helstrom pair at the
+    per-receiver budget s**(1/N) for the true priors."""
+    p1, p2 = helstrom_success_pair(inst.effective_overlap, inst.prior_1, inst.prior_2)
+    n = inst.n_receivers
+    return p1, p2, inst.prior_1 * p1**n + inst.prior_2 * p2**n
+
+
 def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     """Chain in which every receiver maximizes its own average success.
 
@@ -269,38 +297,41 @@ def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     receiver's individual average success but is generally suboptimal for the
     probability that all receivers succeed simultaneously.
     """
-    pair = helstrom_success_pair(inst.effective_overlap, inst.prior_1, inst.prior_2)
-    n = inst.n_receivers
-    joint = inst.prior_1 * pair.p1**n + inst.prior_2 * pair.p2**n
-    return StrategyResult(
-        stages=tuple(pair for _ in range(n)),
-        overlaps=overlap_ladder(inst.overlap, n),
-        joint_success=joint,
-        strategy=Strategy.INDIVIDUAL_GREEDY,
+    return _uniform_chain(
+        inst.overlap, inst.n_receivers, greedy_point(inst), Strategy.INDIVIDUAL_GREEDY
     )
 
 
-def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
-    """Better of the two pinned strategies p2 = 1 or p1 = 1 at every stage.
+def boundary_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
+    """(p1, p2, joint) of ``boundary_solution``.
 
-    Pinning p2 = 1 forces p1 = 1 - s**(2/N) through the constraint (and
-    mirrored for p1 = 1), giving joint successes
-    eta1 * (1 - s**(2/N))**N + eta2 and eta1 + eta2 * (1 - s**(2/N))**N.
-    Ties (equal priors) resolve to the p2 = 1 branch.
+    Pinning p2 = 1 forces p1 = q = 1 - s**(2/N) through the constraint (and
+    mirrored for p1 = 1), giving joint successes eta1 * q**N + eta2 and
+    eta1 + eta2 * q**N. Ties (equal priors) resolve to the p2 = 1 branch.
     """
     n = inst.n_receivers
     q = 1.0 - inst.overlap ** (2.0 / n)
     joint_pin2 = inst.prior_1 * q**n + inst.prior_2
     joint_pin1 = inst.prior_1 + inst.prior_2 * q**n
     if joint_pin1 > joint_pin2:
-        pair = SuccessPair(1.0, q)
-        joint = joint_pin1
-    else:
-        pair = SuccessPair(q, 1.0)
-        joint = joint_pin2
+        return 1.0, q, joint_pin1
+    return q, 1.0, joint_pin2
+
+
+def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
+    """Better of the two pinned strategies p2 = 1 or p1 = 1 at every stage
+    (see ``boundary_point``)."""
+    return _uniform_chain(inst.overlap, inst.n_receivers, boundary_point(inst), Strategy.BOUNDARY)
+
+
+def _uniform_chain(
+    s: float, n: int, point: tuple[float, float, float], strategy: Strategy
+) -> StrategyResult:
+    """Chain of N receivers that all use the point's pair, with its joint."""
+    p1, p2, joint = point
     return StrategyResult(
-        stages=tuple(pair for _ in range(n)),
-        overlaps=overlap_ladder(inst.overlap, n),
+        stages=(SuccessPair(p1, p2),) * n,
+        overlaps=overlap_ladder(s, n),
         joint_success=joint,
-        strategy=Strategy.BOUNDARY,
+        strategy=strategy,
     )

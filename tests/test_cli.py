@@ -166,26 +166,31 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("n", (1, 2, 8))
     def test_jbg_optimal_cells_equal_optimize(self, n, tmp_path, capsys):
+        """Every strategy's three cells equal ``optimize --strategy`` on the
+        same instance."""
+        strategies = ("BOUNDARY", "JBG_OPTIMAL", "JBG_SYMMETRIC_ANALYTIC", "INDIVIDUAL_GREEDY")
         out = tmp_path / "grid.csv"
         code = main(
             ["sweep", "--variable", "both", "--points", "9", "--prior-points", "9",
-             "--receivers", str(n), "--strategies", "BOUNDARY,JBG_OPTIMAL", "--out", str(out)]
+             "--receivers", str(n), "--strategies", ",".join(strategies), "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0].endswith("jbg_optimal_joint_success,jbg_optimal_p1,jbg_optimal_p2")
+        assert lines[0].endswith("individual_greedy_p1,individual_greedy_p2")
         # the grid holds overlaps 0 and 1 and priors 0, 1/2 and 1
         assert {"0.0", "1.0"} <= {line.split(",")[0] for line in lines[1:]}
         assert {"0.0", "0.5", "1.0"} <= {line.split(",")[1] for line in lines[1:]}
         capsys.readouterr()
         for line in lines[1:]:
             overlap, prior, *cells = line.split(",")
-            main(["optimize", "--overlap", overlap, "--prior", prior, "--receivers", str(n)])
-            payload = json.loads(capsys.readouterr().out)
-            stage = payload["stages"][0]
-            assert cells[3:] == [
-                repr(payload["joint_success"]), repr(stage["p1"]), repr(stage["p2"])
-            ]
+            for k, strategy in enumerate(strategies):
+                main(["optimize", "--overlap", overlap, "--prior", prior,
+                      "--receivers", str(n), "--strategy", strategy])
+                payload = json.loads(capsys.readouterr().out)
+                stage = payload["stages"][0]
+                assert cells[3 * k:3 * k + 3] == [
+                    repr(payload["joint_success"]), repr(stage["p1"]), repr(stage["p2"])
+                ], (strategy, overlap, prior)
 
     def test_invalid_points_exits_2(self, tmp_path):
         code = main(

@@ -4,19 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesschain import (
     DiscriminationInstance,
     Strategy,
+    boundary_point,
     boundary_solution,
     distinguishability,
     equal_prior_jbg,
+    greedy_point,
     helstrom_bound,
     helstrom_success_pair,
     individual_greedy,
     overlap_ladder,
     p2_from_p1,
     stationarity_residual,
+    symmetric_point,
 )
 
 
@@ -300,6 +305,44 @@ class TestBoundarySolution:
     def test_picks_the_better_side(self):
         lopsided = boundary_solution(DiscriminationInstance(0.5, 0.9, n_receivers=2))
         assert lopsided.stages[0].p1 == 1.0  # pin the likelier state
+
+
+class TestPointFunctions:
+    """Each closed-form point equals the first stage and the joint of its
+    StrategyResult builder, and every stage of the builder shares that pair."""
+
+    OVERLAPS = st.one_of(
+        st.sampled_from((0.0, 1.0)),
+        st.floats(-30.0, -6.0).map(lambda e: 10.0**e),
+        st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        st.floats(0.0, 1.0),
+    )
+    PRIORS = st.one_of(
+        st.sampled_from((0.0, 0.5, 1.0)),
+        st.builds(
+            lambda sign, k: 0.5 + sign * k * math.ulp(0.5),
+            st.sampled_from((-1.0, 1.0)),
+            st.integers(1, 40),
+        ),
+        st.floats(0.0, 1.0),
+    )
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 200), overlap=OVERLAPS, prior=PRIORS)
+    def test_points_match_builders(self, n, overlap, prior):
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        symmetric = equal_prior_jbg(overlap, n)
+        references = (
+            (symmetric_point, symmetric, symmetric.recompute_joint(inst.prior_1, inst.prior_2)),
+            (greedy_point, individual_greedy(inst), None),
+            (boundary_point, boundary_solution(inst), None),
+        )
+        for point, result, joint in references:
+            p1, p2, got_joint = point(inst)
+            expected = joint if joint is not None else result.joint_success
+            assert (p1, p2, got_joint) == (result.stages[0].p1, result.stages[0].p2, expected)
+            assert all(stage == (p1, p2) for stage in result.stages)
+            assert len(result.stages) == n
 
 
 class TestDiscriminationInstance:
