@@ -145,8 +145,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--start/--stop must lie in [0, 1]")
 
     def grid(start: float, stop: float, points: int) -> list[float]:
+        # start + k * step can miss stop by an ulp, so the last point is stop
+        # itself, as in np.linspace.
         step = (stop - start) / (points - 1)
-        return [start + k * step for k in range(points)]
+        return [start + k * step for k in range(points - 1)] + [stop]
 
     if args.variable == "overlap":
         axes = [("overlap", grid(args.start, args.stop, args.points))]

@@ -192,6 +192,20 @@ class TestSweepCommand:
                     repr(payload["joint_success"]), repr(stage["p1"]), repr(stage["p2"])
                 ], (strategy, overlap, prior)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--variable", "overlap", "--start", "0.1", "--stop", "1.0", "--points", "8"),
+            ("--variable", "prior", "--start", "0.2", "--stop", "1.0", "--points", "12"),
+            ("--variable", "overlap", "--start", "0", "--stop", "1", "--points", "50"),
+        ],
+    )
+    def test_grid_ends_at_stop(self, args, tmp_path):
+        """start + k * step overshoots or falls short of stop by an ulp here."""
+        out = tmp_path / "end.csv"
+        assert main(["sweep", *args, "--receivers", "2", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[0] == "1.0"
+
     def test_invalid_points_exits_2(self, tmp_path):
         code = main(
             ["sweep", "--variable", "prior", "--points", "1", "--receivers", "2",
