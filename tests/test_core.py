@@ -332,15 +332,16 @@ class TestPointFunctions:
     def test_points_match_builders(self, n, overlap, prior):
         inst = DiscriminationInstance(overlap, prior, n_receivers=n)
         symmetric = equal_prior_jbg(overlap, n)
+        greedy = individual_greedy(inst)
+        boundary = boundary_solution(inst)
         references = (
             (symmetric_point, symmetric, symmetric.recompute_joint(inst.prior_1, inst.prior_2)),
-            (greedy_point, individual_greedy(inst), None),
-            (boundary_point, boundary_solution(inst), None),
+            (greedy_point, greedy, greedy.joint_success),
+            (boundary_point, boundary, boundary.joint_success),
         )
         for point, result, joint in references:
             p1, p2, got_joint = point(inst)
-            expected = joint if joint is not None else result.joint_success
-            assert (p1, p2, got_joint) == (result.stages[0].p1, result.stages[0].p2, expected)
+            assert (p1, p2, got_joint) == (result.stages[0].p1, result.stages[0].p2, joint)
             assert all(stage == (p1, p2) for stage in result.stages)
             assert len(result.stages) == n
 
