@@ -119,9 +119,11 @@ class MeasurementStage:
         frozen = []
         for det in self.detectors:
             arr = np.asarray(det)
-            if np.any(np.imag(arr)):
-                raise ValueError("detectors must be real, got a nonzero imaginary part")
-            arr = np.array(np.real(arr), dtype=np.float64)
+            if arr.dtype.kind == "c":
+                if np.any(arr.imag):
+                    raise ValueError("detectors must be real, got a nonzero imaginary part")
+                arr = arr.real
+            arr = np.array(arr, dtype=np.float64)
             if arr.shape != (2, 2):
                 raise ValueError(f"detectors must be 2x2, got shape {arr.shape}")
             arr.setflags(write=False)
@@ -133,36 +135,48 @@ class MeasurementStage:
 
         Raises ValueError on the first violated invariant. Construction via
         ``build_stage`` always passes; this re-check exists so that stages
-        arriving from serialization or tests can be trusted.
+        arriving from serialization or tests can be trusted. The checks are
+        scalar float algebra on the eight detector entries, so a verdict does
+        not depend on which BLAS numpy was built with.
         """
-        b1, b2 = self.detectors
-        gram = b1.T @ b1 + b2.T @ b2
-        defect = float(np.max(np.abs(gram - np.eye(2))))
-        if not defect <= STAGE_ATOL:  # NaN fails too
-            raise ValueError(f"completeness violated: max |B1+B1 + B2+B2 - I| = {defect:.3e}")
-        for i, det in enumerate((b1, b2), start=1):
-            eigs = np.linalg.eigvalsh(det.T @ det)
-            if float(eigs.min()) < -1e-12:
-                raise ValueError(f"POVM element {i} not positive: min eig {eigs.min():.3e}")
-        psi1, psi2 = make_state_pair(self.in_overlap)
-        r1, w1, r2, w2 = _amplitudes(self.in_overlap, self.success, self.out_overlap)
-        expected = (
-            (b1 @ psi1.vector, r1, self.outputs[0]),
-            (b2 @ psi1.vector, w1, self.outputs[0]),
-            (b1 @ psi2.vector, w2, self.outputs[1]),
-            (b2 @ psi2.vector, r2, self.outputs[1]),
+        (a1, b1), (c1, d1) = self.detectors[0].tolist()
+        (a2, b2), (c2, d2) = self.detectors[1].tolist()
+        # B^T B = [[p, q], [q, r]] for B = [[a, b], [c, d]]
+        grams = (
+            (a1 * a1 + c1 * c1, a1 * b1 + c1 * d1, b1 * b1 + d1 * d1),
+            (a2 * a2 + c2 * c2, a2 * b2 + c2 * d2, b2 * b2 + d2 * d2),
         )
-        for out_vec, amplitude, target in expected:
-            norm = float(np.linalg.norm(out_vec))
+        p, q, r = (x + y for x, y in zip(*grams))
+        defects = (abs(p - 1.0), abs(q), abs(r - 1.0))
+        if not all(d <= STAGE_ATOL for d in defects):  # NaN fails too
+            defect = math.nan if any(map(math.isnan, defects)) else max(defects)
+            raise ValueError(f"completeness violated: max |B1+B1 + B2+B2 - I| = {defect:.3e}")
+        for i, (p, q, r) in enumerate(grams, start=1):
+            min_eig = 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
+            if min_eig < -1e-12:
+                raise ValueError(f"POVM element {i} not positive: min eig {min_eig:.3e}")
+        c, s = make_state_pair(self.in_overlap)[0].amplitudes
+        r1, w1, r2, w2 = _amplitudes(self.in_overlap, self.success, self.out_overlap)
+        v1, v2 = (state.amplitudes for state in self.outputs)
+        # B psi for psi1 = (c, s) and psi2 = (c, -s), each with its amplitude
+        # and the output state it must point along
+        expected = (
+            (a1 * c + b1 * s, c1 * c + d1 * s, r1, v1),
+            (a2 * c + b2 * s, c2 * c + d2 * s, w1, v1),
+            (a1 * c - b1 * s, c1 * c - d1 * s, w2, v2),
+            (a2 * c - b2 * s, c2 * c - d2 * s, r2, v2),
+        )
+        for x, y, amplitude, (vx, vy) in expected:
+            norm = math.sqrt(x * x + y * y)
             if not abs(norm - amplitude) <= STAGE_ATOL:
                 raise ValueError(
                     f"action amplitude mismatch: |B psi| = {norm!r}, expected {amplitude!r}"
                 )
             if norm > 1e-8:
-                fid = float(np.dot(target.vector, out_vec / norm) ** 2)
+                fid = (vx * (x / norm) + vy * (y / norm)) ** 2
                 if fid < 1.0 - STAGE_ATOL:
                     raise ValueError(f"output state mismatch: fidelity {fid!r}")
-        out_overlap = abs(float(np.dot(self.outputs[0].vector, self.outputs[1].vector)))
+        out_overlap = abs(v1[0] * v2[0] + v1[1] * v2[1])
         if not abs(out_overlap - self.out_overlap) <= STAGE_ATOL:  # NaN fails too
             raise ValueError(
                 f"output overlap {out_overlap!r} differs from declared {self.out_overlap!r}"

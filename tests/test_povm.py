@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from guesschain import (
     optimize_reduced,
     p2_from_p1,
 )
+from guesschain.povm import STAGE_ATOL, _amplitudes
 
 
 class TestStatePair:
@@ -349,12 +351,20 @@ class TestStageValidation:
     @pytest.mark.parametrize("k", (0, 1))
     @pytest.mark.parametrize("cell", ((0, 0), (0, 1), (1, 0), (1, 1)))
     def test_nan_detector_is_rejected(self, k, cell):
+        # and infinite cells, of either sign
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
         stage = build_chain(inst, optimize_reduced(inst))[0]
-        detectors = [np.array(det, copy=True) for det in stage.detectors]
-        detectors[k][cell] = float("nan")
-        with pytest.raises(ValueError):
-            dataclasses.replace(stage, detectors=tuple(detectors)).validate()
+        for value in (math.nan, math.inf, -math.inf):
+            detectors = [np.array(det, copy=True) for det in stage.detectors]
+            detectors[k][cell] = value
+            with pytest.raises(ValueError, match="^completeness violated"):
+                dataclasses.replace(stage, detectors=tuple(detectors)).validate()
+
+    def test_nan_in_overlap_is_rejected(self):
+        inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
+        stage = build_chain(inst, optimize_reduced(inst))[0]
+        with pytest.raises(ValueError, match="^overlap must lie in"):
+            dataclasses.replace(stage, in_overlap=math.nan).validate()
 
     def test_imaginary_detector_is_rejected(self):
         stage = build_stage(0.4, SuccessPair(0.8, 0.7), 0.4 / distinguishability(0.8, 0.7))
@@ -371,10 +381,117 @@ class TestStageValidation:
         read_back = MeasurementStage(
             detectors=tuple(det + 0j for det in stage.detectors), **fields
         )
-        assert all(det.dtype == np.float64 for det in read_back.detectors)
+        for det in read_back.detectors:
+            assert det.dtype == np.float64 and not det.flags.writeable
         read_back.validate()
 
     def test_detectors_are_read_only(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             stage.detectors[0][0, 0] = 5.0
+
+    def test_detectors_become_read_only_float64(self):
+        stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
+        integer = np.array([[1, 0], [0, 0]])
+        read_back = MeasurementStage(
+            detectors=(integer, [[0.0, 0.0], [0, 1]]),
+            outputs=stage.outputs,
+            success=stage.success,
+            in_overlap=stage.in_overlap,
+            out_overlap=stage.out_overlap,
+        )
+        expected = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]])
+        for det, cells in zip(read_back.detectors, expected):
+            assert det.dtype == np.float64 and not det.flags.writeable
+            assert det.tolist() == cells
+        integer[0, 0] = 7  # the stage keeps its own copy
+        assert read_back.detectors[0][0, 0] == 1.0
+
+
+def _reference_validate(stage):
+    """numpy form of ``MeasurementStage.validate``: the reference its scalar
+    algebra is checked against, with the same checks, order and messages."""
+    b1, b2 = stage.detectors
+    gram = b1.T @ b1 + b2.T @ b2
+    defect = float(np.max(np.abs(gram - np.eye(2))))
+    if not defect <= STAGE_ATOL:
+        raise ValueError(f"completeness violated: max |B1+B1 + B2+B2 - I| = {defect:.3e}")
+    for i, det in enumerate((b1, b2), start=1):
+        eigs = np.linalg.eigvalsh(det.T @ det)
+        if float(eigs.min()) < -1e-12:
+            raise ValueError(f"POVM element {i} not positive: min eig {eigs.min():.3e}")
+    psi1, psi2 = make_state_pair(stage.in_overlap)
+    r1, w1, r2, w2 = _amplitudes(stage.in_overlap, stage.success, stage.out_overlap)
+    expected = (
+        (b1 @ psi1.vector, r1, stage.outputs[0]),
+        (b2 @ psi1.vector, w1, stage.outputs[0]),
+        (b1 @ psi2.vector, w2, stage.outputs[1]),
+        (b2 @ psi2.vector, r2, stage.outputs[1]),
+    )
+    for out_vec, amplitude, target in expected:
+        norm = float(np.linalg.norm(out_vec))
+        if not abs(norm - amplitude) <= STAGE_ATOL:
+            raise ValueError(
+                f"action amplitude mismatch: |B psi| = {norm!r}, expected {amplitude!r}"
+            )
+        if norm > 1e-8:
+            fid = float(np.dot(target.vector, out_vec / norm) ** 2)
+            if fid < 1.0 - STAGE_ATOL:
+                raise ValueError(f"output state mismatch: fidelity {fid!r}")
+    out_overlap = abs(float(np.dot(stage.outputs[0].vector, stage.outputs[1].vector)))
+    if not abs(out_overlap - stage.out_overlap) <= STAGE_ATOL:
+        raise ValueError(
+            f"output overlap {out_overlap!r} differs from declared {stage.out_overlap!r}"
+        )
+
+
+def _verdict(check, stage):
+    """None when ``check`` passes, else the error's type and its text before
+    the first colon (the figures after it may differ by rounding)."""
+    try:
+        check(stage)
+    except ValueError as exc:
+        return type(exc), str(exc).split(":")[0]
+    return None
+
+
+class TestValidateMatchesReference:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 200),
+        overlap=st.one_of(st.floats(0.0, 1.0), st.integers(1, 12).map(lambda k: 1.0 - 10.0**-k)),
+        prior=st.floats(0.0, 1.0),
+        solver=st.sampled_from((*SOLVERS, symmetric_solution)),
+        position=st.floats(0.0, 1.0),
+        cell=st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+        delta=st.floats(-3e-10, 3e-10),
+        bad=st.sampled_from((math.nan, math.inf, -math.inf)),
+        in_overlap=st.sampled_from((math.nan, -0.5, 1.5)),
+    )
+    def test_same_verdict(self, n, overlap, prior, solver, position, cell, delta, bad, in_overlap):
+        # One built stage of the chain, taken before build_stage validates it,
+        # and copies with one cell shifted by about STAGE_ATOL, one cell made
+        # non-finite, and an in_overlap that is NaN or out of range.
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        result = solver(inst)
+        k = min(int(position * n), n - 1)
+        t_out = result.overlaps[k + 1] if k + 1 < n else 1.0
+        with mock.patch.object(MeasurementStage, "validate", lambda stage: None):
+            try:
+                stage = build_stage(result.overlaps[k], result.stages[k], t_out)
+            except ValueError:  # the budget check, before any detector exists
+                return
+        d, i, j = cell
+        shifted = [np.array(det, copy=True) for det in stage.detectors]
+        shifted[d][i, j] += delta
+        broken = [np.array(det, copy=True) for det in stage.detectors]
+        broken[d][i, j] = bad
+        for copy in (
+            stage,
+            dataclasses.replace(stage, detectors=tuple(shifted)),
+            dataclasses.replace(stage, detectors=tuple(broken)),
+            dataclasses.replace(stage, in_overlap=in_overlap),
+        ):
+            with np.errstate(invalid="ignore"):  # inf * 0 in the reference's matmul
+                reference = _verdict(_reference_validate, copy)
+            assert _verdict(MeasurementStage.validate, copy) == reference
