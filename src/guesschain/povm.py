@@ -28,7 +28,9 @@ Gram-Schmidt step, so completeness holds to rounding; if nothing of the second
 column is left, it is the unit column perpendicular to the first per detector.
 
 Overlaps, amplitudes and detectors are real throughout (float64); states are
-compared up to sign.
+compared up to sign. ``MeasurementStage.validate`` checks a stage with scalar
+2x2 algebra on its eight detector entries, so its verdicts do not depend on
+the BLAS numpy was built with.
 """
 
 from __future__ import annotations
