@@ -42,7 +42,6 @@ from .simulate import (
     SimConfig,
     SimReport,
     run_chain_simulation,
-    verify_posterior_purity,
 )
 
 __version__ = "0.1.0"
@@ -82,5 +81,4 @@ __all__ = [
     "run_chain_simulation",
     "stationarity_residual",
     "symmetric_point",
-    "verify_posterior_purity",
 ]

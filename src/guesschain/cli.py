@@ -103,7 +103,8 @@ def _stage_json(stage: MeasurementStage) -> dict:
     }
 
 
-def _result_json(inst: DiscriminationInstance, result: StrategyResult) -> dict:
+def _header_json(inst: DiscriminationInstance, result: StrategyResult) -> dict:
+    # The leading keys of every optimize and simulate payload.
     return {
         "schema_version": SCHEMA_VERSION,
         "overlap": inst.overlap,
@@ -111,6 +112,12 @@ def _result_json(inst: DiscriminationInstance, result: StrategyResult) -> dict:
         "prior_2": inst.prior_2,
         "receivers": inst.n_receivers,
         "strategy": result.strategy.name,
+    }
+
+
+def _result_json(inst: DiscriminationInstance, result: StrategyResult) -> dict:
+    return {
+        **_header_json(inst, result),
         "stages": [{"p1": s.p1, "p2": s.p2} for s in result.stages],
         "overlaps": list(result.overlaps),
         "joint_success": result.joint_success,
@@ -151,42 +158,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return [start + k * step for k in range(points - 1)] + [stop]
 
     if args.variable == "overlap":
-        axes = [("overlap", grid(args.start, args.stop, args.points))]
-        fixed = {"prior_1": args.prior}
+        overlaps, priors = grid(args.start, args.stop, args.points), [args.prior]
     elif args.variable == "prior":
-        axes = [("prior_1", grid(args.start, args.stop, args.points))]
-        fixed = {"overlap": args.overlap}
+        overlaps, priors = [args.overlap], grid(args.start, args.stop, args.points)
     else:  # both
         if args.prior_points < 2:
             raise ValueError(f"--prior-points must be >= 2, got {args.prior_points}")
         if not (0.0 <= args.prior_start <= 1.0 and 0.0 <= args.prior_stop <= 1.0):
             raise ValueError("--prior-start/--prior-stop must lie in [0, 1]")
-        axes = [
-            ("overlap", grid(args.start, args.stop, args.points)),
-            ("prior_1", grid(args.prior_start, args.prior_stop, args.prior_points)),
-        ]
-        fixed = {}
+        overlaps = grid(args.start, args.stop, args.points)
+        priors = grid(args.prior_start, args.prior_stop, args.prior_points)
+    insts = [  # row-major
+        DiscriminationInstance(overlap, prior, n_receivers=args.receivers)
+        for overlap in overlaps
+        for prior in priors
+    ]
 
-    header = [name for name, _ in axes]
+    columns = {"overlap": ("overlap",), "prior": ("prior_1",), "both": ("overlap", "prior_1")}
+    coords = columns[args.variable]
+    header = list(coords)
     for strategy in strategies:
         prefix = strategy.name.lower()
         header += [f"{prefix}_joint_success", f"{prefix}_p1", f"{prefix}_p2"]
-
-    points = [[value] for value in axes[0][1]]
-    if len(axes) == 2:
-        points = [[a, b] for a in axes[0][1] for b in axes[1][1]]  # row-major
-    insts = []
-    for coords in points:
-        params = dict(fixed)
-        for (name, _), value in zip(axes, coords):
-            params[name] = value
-        insts.append(
-            DiscriminationInstance(
-                overlap=params["overlap"],
-                prior_1=params["prior_1"],
-                n_receivers=args.receivers,
-            )
-        )
 
     # Each column equals the first stage and the joint of _solve, cell for
     # cell: one batched bisection for JBG_OPTIMAL, bit-identical to
@@ -196,7 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         Strategy.INDIVIDUAL_GREEDY: greedy_point,
         Strategy.BOUNDARY: boundary_point,
     }
-    rows = [[_float_cell(c) for c in coords] for coords in points]
+    rows = [[_float_cell(getattr(inst, name)) for name in coords] for inst in insts]
     for strategy in strategies:
         if strategy is Strategy.JBG_OPTIMAL:
             column = optimize_reduced_column(insts)
@@ -224,12 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stages = build_chain(inst, result)
     report = run_chain_simulation(inst, stages, cfg)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "overlap": inst.overlap,
-        "prior_1": inst.prior_1,
-        "prior_2": inst.prior_2,
-        "receivers": inst.n_receivers,
-        "strategy": result.strategy.name,
+        **_header_json(inst, result),
         "trials": report.trials,
         "seed": report.seed,
         "prng": report.prng,

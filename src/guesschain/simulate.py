@@ -28,7 +28,6 @@ the report.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -44,10 +43,7 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "run_chain_simulation",
-    "verify_posterior_purity",
 ]
-
-logger = logging.getLogger(__name__)
 
 PRNG_NAME = "philox4x64"
 
@@ -112,24 +108,6 @@ def _z_score(empirical: float, predicted: float, std_error: float) -> float:
     return math.copysign(math.inf, empirical - predicted)
 
 
-def _two_state_walk(overlap: float, stages: list[MeasurementStage]):
-    """Walk the two prepared states of ``overlap`` through ``stages`` once.
-
-    Yields, per stage, the images ``out[j]`` (row i: B_j applied to the state
-    prepared as i) and their squared norms ``q[j]``. Each state then moves on
-    along its more probable outcome, normalized.
-    """
-    pair = make_state_pair(overlap)
-    current = np.stack([pair[0].vector, pair[1].vector])
-    for stage in stages:
-        out = [current @ b.T for b in stage.detectors]
-        q = [np.einsum("ij,ij->i", o, o) for o in out]
-        yield out, q
-        follow = q[0] >= q[1]
-        norm = np.sqrt(np.clip(np.where(follow, q[0], q[1]), 0.0, 1.0))
-        current = np.where(follow[:, None], out[0], out[1]) / norm[:, None]
-
-
 def run_chain_simulation(
     inst: DiscriminationInstance,
     stages: list[MeasurementStage],
@@ -141,8 +119,14 @@ def run_chain_simulation(
     n = inst.n_receivers
     trials = cfg.trials
 
+    # Walk the two prepared states through the detectors once: out[j] holds
+    # B_j applied to the state prepared as i in row i, q[j] its squared norm.
+    pair = make_state_pair(inst.overlap)
+    current = np.stack([pair[0].vector, pair[1].vector])
     q1 = np.empty((n, 2))
-    for k, (out, q) in enumerate(_two_state_walk(inst.overlap, stages)):
+    for k, stage in enumerate(stages):
+        out = [current @ b.T for b in stage.detectors]
+        q = [np.einsum("ij,ij->i", o, o) for o in out]
         if min(q[0].min(), q[1].min()) < UNDERFLOW_SLACK:
             raise NumericalUnderflow(f"stage {k + 1}: negative outcome probability beyond slack")
         drift = float(np.max(np.abs(q[0] + q[1] - 1.0)))
@@ -157,6 +141,10 @@ def run_chain_simulation(
                         f"stage {k + 1}: the output for input state {i + 1} depends "
                         f"on the outcome (fidelity {fidelity:.12f} between the two)"
                     )
+        # Each state moves on along its more probable outcome, normalized.
+        follow = q[0] >= q[1]
+        norm = np.sqrt(np.clip(np.where(follow, q[0], q[1]), 0.0, 1.0))
+        current = np.where(follow[:, None], out[0], out[1]) / norm[:, None]
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     joint_successes = 0
@@ -205,46 +193,3 @@ def run_chain_simulation(
         prng=PRNG_NAME,
         seed=cfg.seed,
     )
-
-
-def verify_posterior_purity(stages: list[MeasurementStage]) -> bool:
-    """Check that every non-final stage emits its declared pure output.
-
-    Walks both prepared states through the chain once, as the simulator
-    does, and at every non-final stage checks both measurement outcomes:
-    whenever an outcome can occur, the normalized post-measurement state must
-    match the stage's declared output for the incoming state index with
-    fidelity >= 1 - 1e-9.
-
-    Returns False (with logged diagnostics) when any stage offends.
-    """
-    if not stages:
-        return True
-    ok = True
-    for k, (out, q) in enumerate(_two_state_walk(stages[0].in_overlap, stages[:-1])):
-        for sent_index in range(2):
-            if max(q[0][sent_index], q[1][sent_index]) < 1e-14:
-                logger.warning(
-                    "stage %d, input state %d: no outcome has nonzero probability",
-                    k + 1,
-                    sent_index + 1,
-                )
-                return False
-            expected = stages[k].outputs[sent_index].vector
-            for branch in range(2):
-                weight = float(q[branch][sent_index])
-                if weight < 1e-14:
-                    continue  # outcome never occurs for this input
-                post = out[branch][sent_index] / math.sqrt(weight)
-                fidelity = float(np.dot(expected, post) ** 2)
-                if fidelity < 1.0 - 1e-9:
-                    logger.warning(
-                        "stage %d, input state %d, outcome %d: post-measurement "
-                        "fidelity %.12f against declared output",
-                        k + 1,
-                        sent_index + 1,
-                        branch + 1,
-                        fidelity,
-                    )
-                    ok = False
-    return ok

@@ -341,6 +341,17 @@ class TestStageValidation:
         with pytest.raises(ValueError):
             tampered.validate()
 
+    def test_rotated_outputs_are_caught(self):
+        # One rotation on both detectors keeps the stage complete, positive
+        # and its amplitudes; only the declared outputs no longer match.
+        inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
+        stage = build_chain(inst, optimize_reduced(inst))[0]
+        c, s = math.cos(0.1), math.sin(0.1)
+        rotation = np.array([[c, -s], [s, c]])
+        rotated = tuple(rotation @ det for det in stage.detectors)
+        with pytest.raises(ValueError, match="^output state mismatch"):
+            dataclasses.replace(stage, detectors=rotated).validate()
+
     @pytest.mark.parametrize("out_overlap", (float("nan"), float("inf")))
     def test_non_finite_out_overlap_is_rejected(self, out_overlap):
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)

@@ -1,4 +1,4 @@
-"""Monte Carlo chain simulation: determinism, statistics, purity checks."""
+"""Monte Carlo chain simulation: determinism, statistics, broken-stage checks."""
 
 import dataclasses
 import math
@@ -21,7 +21,6 @@ from guesschain import (
     make_state_pair,
     optimize_reduced,
     run_chain_simulation,
-    verify_posterior_purity,
 )
 from guesschain import simulate
 
@@ -138,6 +137,13 @@ class TestOutcomeTable:
         tampered = [_rotate(stages[0]), stages[1]]
         with pytest.raises(ValueError, match="stage 1: .*depends on the outcome"):
             run_chain_simulation(inst, tampered, SimConfig(seed=1, trials=10))
+        # Stage 2 of another instance's chain is complete, but it was built for
+        # other input states, so its output depends on the outcome.
+        inst, _, stages = _chain(0.5, 0.5, 3)
+        foreign = _chain(0.3, 0.5, 3)[2]
+        mislinked = [stages[0], foreign[1], stages[2]]
+        with pytest.raises(ValueError, match="stage 2: .*depends on the outcome"):
+            run_chain_simulation(inst, mislinked, SimConfig(seed=1, trials=10))
 
     def test_final_stage_output_is_free(self):
         inst, _, stages = _chain(0.5, 0.5, 2)
@@ -228,35 +234,17 @@ class TestBrokenStagesAreCaught:
     @pytest.mark.parametrize("trials", [1000, 3 * simulate.CHUNK_TRIALS + 5])
     def test_incomplete_povm_raises(self, trials):
         inst, _, stages = _chain(0.5, 0.5, 2)
-        bad = np.array(stages[0].detectors[0], copy=True) * 0.9
-        tampered = MeasurementStage(
-            detectors=(bad, stages[0].detectors[1]),
-            outputs=stages[0].outputs,
-            success=stages[0].success,
-            in_overlap=stages[0].in_overlap,
-            out_overlap=stages[0].out_overlap,
+        scaled = dataclasses.replace(
+            stages[0], detectors=(stages[0].detectors[0] * 0.9, stages[0].detectors[1])
         )
-        with pytest.raises(NumericalUnderflow):
-            run_chain_simulation(inst, [tampered, stages[1]], SimConfig(seed=1, trials=trials))
+        for tampered in (scaled, _tamper(stages[0], 0, 1, 1e-3)):
+            with pytest.raises(NumericalUnderflow, match="stage 1: outcome probabilities sum to 1"):
+                run_chain_simulation(inst, [tampered, stages[1]], SimConfig(seed=1, trials=trials))
 
     def test_stage_count_mismatch(self):
         inst, _, stages = _chain(0.5, 0.5, 2)
         with pytest.raises(ValueError):
             run_chain_simulation(inst, stages[:1], SimConfig(seed=1, trials=10))
-
-
-class TestPosteriorPurity:
-    def test_valid_chain_is_pure(self):
-        _, _, stages = _chain(0.5, 0.35, 3)
-        assert verify_posterior_purity(stages) is True
-
-    def test_tampered_stage_detected(self):
-        _, _, stages = _chain(0.5, 0.5, 2)
-        assert verify_posterior_purity([_tamper(stages[0], 0, 1, 1e-3), stages[1]]) is False
-
-    def test_single_stage_vacuous(self):
-        _, _, stages = _chain(0.5, 0.5, 1)
-        assert verify_posterior_purity(stages) is True
 
 
 class TestSimConfig:
