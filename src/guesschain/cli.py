@@ -9,12 +9,21 @@ simulate   build a chain, run the seeded Monte Carlo check, print the report
 find-sb    locate the equal-prior validity threshold of the symmetric formula
 
 Exit codes: 0 success, 1 statistical acceptance failure (simulate only),
-2 usage/validation error, 3 output I/O error.
+2 usage/validation error (a chain that fails the simulator's probability
+check included), 3 output I/O error.
 
 All JSON carries a top-level ``"schema_version": 1``. Floats are emitted in
 shortest round-trip decimal form in both JSON and CSV, so outputs are
 bit-stable across runs; CSV uses UTF-8, comma separators, a header row, and
 LF line endings. Diagnostics go to stderr only.
+
+JSON is written by ``json.dumps(indent=2)``, with one exception: each
+measurement stage of ``optimize --emit-stages`` is filled into a text template
+that is built at import by passing a schema-1 stage skeleton through
+``json.dumps(indent=2)``. The stage's numbers take json's own float text
+(``float.__repr__``, or ``NaN``/``Infinity``/``-Infinity``) from one call of
+the C encoder, so the bytes equal the generic encoder's, at about a third of
+its time.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .core import (
 )
 from .optimize import find_sb, optimize_reduced, optimize_reduced_column
 from .povm import MeasurementStage, build_chain
-from .simulate import SimConfig, run_chain_simulation
+from .simulate import NumericalUnderflow, SimConfig, run_chain_simulation
 
 __all__ = ["main"]
 
@@ -81,26 +90,48 @@ def _instance_from_args(args: argparse.Namespace) -> DiscriminationInstance:
     )
 
 
-def _cell(x: float) -> list[float]:
-    # Schema 1 writes each amplitude as an [re, im] pair; im is always 0.
-    return [float(x), 0.0]
+# One schema-1 stage, laid out by json itself: "\0" marks the 16 value slots
+# (the [x, 0.0] pairs keep their 0.0 pads), and the two enclosing lists give
+# the stage the nesting depth it has in an optimize payload.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
 
 
-def _matrix_json(matrix) -> list[list[list[float]]]:
-    return [[_cell(x) for x in row] for row in matrix.tolist()]
-
-
-def _stage_json(stage: MeasurementStage) -> dict:
-    return {
-        "detector_1": _matrix_json(stage.detectors[0]),
-        "detector_2": _matrix_json(stage.detectors[1]),
-        "output_1": [_cell(x) for x in stage.outputs[0].amplitudes],
-        "output_2": [_cell(x) for x in stage.outputs[1].amplitudes],
-        "p1": stage.success.p1,
-        "p2": stage.success.p2,
-        "in_overlap": stage.in_overlap,
-        "out_overlap": stage.out_overlap,
+def _stage_template() -> str:
+    cell = [_SLOT, 0.0]
+    matrix = [[cell, cell], [cell, cell]]
+    skeleton = {
+        "detector_1": matrix,
+        "detector_2": matrix,
+        "output_1": [cell, cell],
+        "output_2": [cell, cell],
+        "p1": _SLOT,
+        "p2": _SLOT,
+        "in_overlap": _SLOT,
+        "out_overlap": _SLOT,
     }
+    text = json.dumps([[skeleton]], indent=2)
+    return text[text.index("{") : text.rindex("}") + 1].replace(_SLOT_TEXT, "%s")
+
+
+_STAGE_TEMPLATE = _stage_template()
+
+
+def _stage_text(stage: MeasurementStage) -> str:
+    """The stage's text in an ``indent=2`` optimize payload, byte for byte."""
+    values = [
+        *stage.detectors[0].ravel().tolist(),
+        *stage.detectors[1].ravel().tolist(),
+        *stage.outputs[0].amplitudes,
+        *stage.outputs[1].amplitudes,
+        stage.success.p1,
+        stage.success.p2,
+        stage.in_overlap,
+        stage.out_overlap,
+    ]
+    # json's C encoder gives each number the text the indent encoder would:
+    # float.__repr__, or NaN, Infinity and -Infinity.
+    return _STAGE_TEMPLATE % tuple(json.dumps(values)[1:-1].split(", "))
 
 
 def _header_json(inst: DiscriminationInstance, result: StrategyResult) -> dict:
@@ -132,9 +163,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
     result = _solve(inst, _parse_strategy(args.strategy))
     payload = _result_json(inst, result)
-    if args.emit_stages:
-        payload["measurement_stages"] = [_stage_json(s) for s in build_chain(inst, result)]
-    _emit(payload)
+    if not args.emit_stages:
+        _emit(payload)
+        return EXIT_OK
+    stages = build_chain(inst, result)
+    # json lays out the payload with one slot per stage; each slot's text is
+    # then replaced by the stage's text from the template.
+    payload["measurement_stages"] = [_SLOT] * len(stages)
+    head, *tails = json.dumps(payload, indent=2).split(_SLOT_TEXT)
+    body = "".join(_stage_text(stage) + tail for stage, tail in zip(stages, tails))
+    sys.stdout.write(head + body + "\n")
     return EXIT_OK
 
 
@@ -303,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, NumericalUnderflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

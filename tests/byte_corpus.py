@@ -12,7 +12,12 @@ the text of the sweep's output file, or "" when the run writes none. The
 output path reads ``{out}`` in argv and in stderr. The last line is
 ``total <sha256>``, taken over all earlier lines, each with its newline.
 Two checkouts print the same total exactly when every run gives the same
-bytes, and ``diff`` of their outputs names the runs that differ.
+bytes, and ``diff`` of their outputs names the runs that differ. The output
+the program must give is committed as ``tests/byte_corpus.expected``:
+
+    python3 tests/byte_corpus.py | diff tests/byte_corpus.expected -
+
+A change that alters output bytes by design updates that file.
 
 The runs, in this order:
 

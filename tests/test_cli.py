@@ -1,14 +1,255 @@
 """Command-line surface: schemas, golden outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guesschain import DiscriminationInstance, distinguishability
+from guesschain import (
+    DiscriminationInstance,
+    MeasurementStage,
+    NumericalUnderflow,
+    QubitState,
+    Strategy,
+    SuccessPair,
+    build_chain,
+    cli,
+    distinguishability,
+)
 from guesschain.cli import main
+
+
+def _reference_cell(x):
+    return [float(x), 0.0]
+
+
+def _reference_stage_json(stage):
+    """The generic schema-1 stage object: json.dumps(indent=2) of a payload
+    holding these gives the bytes the CLI must print."""
+    return {
+        "detector_1": [[_reference_cell(x) for x in row] for row in stage.detectors[0].tolist()],
+        "detector_2": [[_reference_cell(x) for x in row] for row in stage.detectors[1].tolist()],
+        "output_1": [_reference_cell(x) for x in stage.outputs[0].amplitudes],
+        "output_2": [_reference_cell(x) for x in stage.outputs[1].amplitudes],
+        "p1": stage.success.p1,
+        "p2": stage.success.p2,
+        "in_overlap": stage.in_overlap,
+        "out_overlap": stage.out_overlap,
+    }
+
+
+def _reference_optimize(overlap, prior, n, strategy):
+    """(exit code, stdout) of ``optimize --emit-stages`` through the generic
+    indent encoder."""
+    try:
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        result = cli._solve(inst, strategy)
+        payload = cli._result_json(inst, result)
+        payload["measurement_stages"] = [
+            _reference_stage_json(stage) for stage in build_chain(inst, result)
+        ]
+    except ValueError:
+        return 2, ""
+    return 0, json.dumps(payload, indent=2) + "\n"
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of an in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _odd_stage():
+    """An unvalidated stage whose numbers need every kind of float text."""
+    return MeasurementStage(
+        detectors=(
+            np.array([[math.nan, math.inf], [-math.inf, -0.0]]),
+            np.array([[5e-324, 1e16], [0.1, -1.0]]),
+        ),
+        outputs=(QubitState((math.nan, -0.0)), QubitState((1.0, 5e-324))),
+        success=SuccessPair(math.inf, -math.inf),
+        in_overlap=-0.0,
+        out_overlap=1e16,
+    )
+
+
+# optimize --overlap 0.5 --prior 0.3 --receivers 2 --emit-stages
+GOLDEN_EMIT_STAGES = """\
+{
+  "schema_version": 1,
+  "overlap": 0.5,
+  "prior_1": 0.3,
+  "prior_2": 0.7,
+  "receivers": 2,
+  "strategy": "JBG_OPTIMAL",
+  "stages": [
+    {
+      "p1": 0.6331866437257103,
+      "p2": 0.9819349727225455
+    },
+    {
+      "p1": 0.6331866437257103,
+      "p2": 0.9819349727225455
+    }
+  ],
+  "overlaps": [
+    0.5,
+    0.7071067811865476
+  ],
+  "joint_success": 0.7952150011967272,
+  "measurement_stages": [
+    {
+      "detector_1": [
+        [
+          [
+            0.496136738426012,
+            0.0
+          ],
+          [
+            0.6109837593427256,
+            0.0
+          ]
+        ],
+        [
+          [
+            0.14611451257869193,
+            0.0
+          ],
+          [
+            0.3559478133370541,
+            0.0
+          ]
+        ]
+      ],
+      "detector_2": [
+        [
+          [
+            0.8516177884327162,
+            0.0
+          ],
+          [
+            -0.35594781333705416,
+            0.0
+          ]
+        ],
+        [
+          [
+            -0.08512360673079829,
+            0.0
+          ],
+          [
+            0.6109837593427255,
+            0.0
+          ]
+        ]
+      ],
+      "output_1": [
+        [
+          0.9238795325112867,
+          0.0
+        ],
+        [
+          0.3826834323650898,
+          0.0
+        ]
+      ],
+      "output_2": [
+        [
+          0.9238795325112867,
+          0.0
+        ],
+        [
+          -0.3826834323650898,
+          0.0
+        ]
+      ],
+      "p1": 0.6331866437257103,
+      "p2": 0.9819349727225455,
+      "in_overlap": 0.5,
+      "out_overlap": 0.7071067811865476
+    },
+    {
+      "detector_1": [
+        [
+          [
+            0.5033862251183089,
+            0.0
+          ],
+          [
+            0.8640615188521817,
+            0.0
+          ]
+        ],
+        [
+          [
+            0.0,
+            0.0
+          ],
+          [
+            0.0,
+            0.0
+          ]
+        ]
+      ],
+      "detector_2": [
+        [
+          [
+            0.8640615188521817,
+            0.0
+          ],
+          [
+            -0.5033862251183089,
+            0.0
+          ]
+        ],
+        [
+          [
+            -0.0,
+            0.0
+          ],
+          [
+            0.0,
+            0.0
+          ]
+        ]
+      ],
+      "output_1": [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          0.0,
+          0.0
+        ]
+      ],
+      "output_2": [
+        [
+          1.0,
+          0.0
+        ],
+        [
+          -0.0,
+          0.0
+        ]
+      ],
+      "p1": 0.6331866437257103,
+      "p2": 0.9819349727225455,
+      "in_overlap": 0.7071067811865476,
+      "out_overlap": 1.0
+    }
+  ]
+}
+"""
 
 
 def run_cli(*args):
@@ -98,6 +339,47 @@ class TestOptimizeCommand:
     def test_emit_stages_near_rounding_limits(self, args, capsys):
         assert main(["optimize", *args, "--emit-stages"]) == 0
         assert len(json.loads(capsys.readouterr().out)["measurement_stages"]) == int(args[-1])
+
+    def test_emit_stages_golden(self, capsys):
+        """The whole schema-1 layout, pinned apart from the json module."""
+        argv = ["optimize", "--overlap", "0.5", "--prior", "0.3", "--receivers", "2",
+                "--emit-stages"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN_EMIT_STAGES
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        strategy=st.sampled_from(list(Strategy)),
+        n=st.integers(1, 200),
+        overlap=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k)
+        ),
+        prior=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_emit_stages_equals_the_generic_encoder(self, strategy, n, overlap, prior):
+        argv = ["optimize", "--overlap", repr(overlap), "--prior", repr(prior),
+                "--receivers", str(n), "--strategy", strategy.name, "--emit-stages"]
+        code, out, _ = _main_output(argv)
+        assert (code, out) == _reference_optimize(overlap, prior, n, strategy)
+
+    def test_stage_text_equals_the_generic_encoder(self):
+        """NaN, infinities, -0.0, subnormals and exponents read as json writes them."""
+        stage = _odd_stage()
+        text = json.dumps({"measurement_stages": [_reference_stage_json(stage)]}, indent=2)
+        assert text == '{\n  "measurement_stages": [\n    ' + cli._stage_text(stage) + "\n  ]\n}"
+
+    def test_stages_splice_into_the_payload(self, monkeypatch):
+        stages = [_odd_stage(), _odd_stage()]
+        monkeypatch.setattr(cli, "build_chain", lambda inst, result: stages)
+        code, out, _ = _main_output(
+            ["optimize", "--overlap", "0.5", "--prior", "0.3", "--receivers", "2",
+             "--emit-stages"]
+        )
+        inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
+        payload = cli._result_json(inst, cli._solve(inst, Strategy.JBG_OPTIMAL))
+        payload["measurement_stages"] = [_reference_stage_json(stage) for stage in stages]
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestSweepCommand:
@@ -274,6 +556,21 @@ class TestSimulateCommand:
              "--trials", "0", "--seed", "1"]
         )
         assert code == 2
+
+    def test_numerical_underflow_exits_2(self, monkeypatch):
+        """A chain that fails the simulator's probability check is an error
+        message and exit 2, not a traceback."""
+
+        def underflow(inst, stages, cfg):
+            raise NumericalUnderflow("stage 1: outcome probabilities sum to 1 +/- 2.000e-10")
+
+        monkeypatch.setattr(cli, "run_chain_simulation", underflow)
+        code, out, err = _main_output(
+            ["simulate", "--overlap", "0.5", "--prior", "0.5", "--receivers", "2",
+             "--trials", "100", "--seed", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: stage 1: outcome probabilities sum to 1 +/- 2.000e-10\n"
 
     def test_missing_seed_exits_2(self):
         result = run_cli(
