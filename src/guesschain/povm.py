@@ -81,7 +81,7 @@ class QubitState:
             raise ValueError("amplitudes must be real, got a nonzero imaginary part")
         a, b = float(a.real), float(b.real)
         norm_sq = a * a + b * b
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails the test
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", (a, b))
 

@@ -11,19 +11,24 @@ prepared state i) that each trial's draws are compared with; a per-trial
 state walk computes the same values up to rounding in their last bits. The
 walk checks this: a non-final stage whose two outcomes leave an input in
 states of fidelity below 1 - 1e-9 raises ValueError, and probabilities that
-are negative or do not sum to 1 raise NumericalUnderflow.
+are not finite, are negative or do not sum to 1 raise NumericalUnderflow.
 
 Randomness contract: draws come from the counter-based Philox 4x64 generator
 keyed by the seed, consumed in trial-major order -- trial i uses draws
 i*(N+1) .. i*(N+1)+N (one for the prepared state, one per stage). Trials are
 walked in consecutive chunks of at most ``CHUNK_TRIALS`` whole trials, each
-drawing its rows from the same generator; consecutive Philox draws reproduce
-one large draw exactly, and only integer counters cross chunk boundaries, so
-the report does not depend on the chunk size and peak memory does not depend
-on the trial count. Any parallel split over trials must likewise assign whole
-trials by index (Philox supports O(1) skipping), so results are reproducible
-bit-for-bit and independent of worker count. The generator name is recorded in
-the report.
+drawn from the same generator into one buffer allocated once per call;
+consecutive Philox draws reproduce one large draw exactly, and only integer
+counters cross chunk boundaries, so the report does not depend on the chunk
+size, and peak memory is about one chunk's draws whatever the trial count.
+Each chunk is tallied with boolean algebra on its columns: a trial is correct
+at stage k when it was sent state 1 and drew below q1[k, 0], or was sent
+state 2 and drew at or above q1[k, 1]. Any parallel split over trials must
+likewise assign whole trials by index, so results are reproducible
+bit-for-bit and independent of worker count. Philox skips ahead in O(1), but
+``Philox.advance(m)`` moves its counter by m blocks of four draws, so a split
+starting at draw d advances d // 4 and then discards d % 4 draws. The
+generator name is recorded in the report.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ __all__ = [
 
 PRNG_NAME = "philox4x64"
 
-# Trials walked per chunk: bounds the draw matrix and the state arrays, whose
-# size would otherwise grow with the trial count.
+# Trials walked per chunk: bounds the draw buffer and the boolean columns,
+# whose size would otherwise grow with the trial count.
 CHUNK_TRIALS = 1 << 14
 
 # Squared norms more negative than this indicate a broken stage, not roundoff.
@@ -127,10 +132,13 @@ def run_chain_simulation(
     for k, stage in enumerate(stages):
         out = [current @ b.T for b in stage.detectors]
         q = [np.einsum("ij,ij->i", o, o) for o in out]
-        if min(q[0].min(), q[1].min()) < UNDERFLOW_SLACK:
+        # Written so that NaN fails each test, not passes it.
+        if not (np.isfinite(q[0]).all() and np.isfinite(q[1]).all()):
+            raise NumericalUnderflow(f"stage {k + 1}: outcome probability is not finite")
+        if not min(q[0].min(), q[1].min()) >= UNDERFLOW_SLACK:
             raise NumericalUnderflow(f"stage {k + 1}: negative outcome probability beyond slack")
         drift = float(np.max(np.abs(q[0] + q[1] - 1.0)))
-        if drift > COMPLETENESS_ATOL:
+        if not drift <= COMPLETENESS_ATOL:
             raise NumericalUnderflow(f"stage {k + 1}: outcome probabilities sum to 1 +/- {drift:.3e}")
         q1[k] = np.clip(q[0], 0.0, 1.0)
         for i in range(2):
@@ -147,23 +155,30 @@ def run_chain_simulation(
         current = np.where(follow[:, None], out[0], out[1]) / norm[:, None]
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    # Every chunk draws into this one buffer, so peak memory is one chunk.
+    buffer = np.empty((min(CHUNK_TRIALS, trials), n + 1))
     joint_successes = 0
     sent_counts = [0, 0]
     correct_counts = [[0, 0] for _ in stages]
     for start in range(0, trials, CHUNK_TRIALS):
-        size = min(CHUNK_TRIALS, trials - start)
-        draws = rng.random((size, n + 1))
+        draws = rng.random(out=buffer[: min(CHUNK_TRIALS, trials - start)])
         sent_2 = draws[:, 0] >= inst.prior_1
+        sent_1 = ~sent_2
         sent_counts[1] += int(np.count_nonzero(sent_2))
-        all_correct = np.ones(size, dtype=bool)
+        all_correct = np.ones(len(draws), dtype=bool)
         for k in range(n):
-            # Outcome 1 (guess "state 1") when the draw falls below q1.
+            # Outcome 1 (guess "state 1") when the draw falls below q1. A
+            # guess is correct when it names the state sent, so c1 | c2
+            # equals np.where(sent_2, col >= q1[k, 1], col < q1[k, 0]).
             col = draws[:, k + 1]
-            correct = np.where(sent_2, col >= q1[k, 1], col < q1[k, 0])
-            all_correct &= correct
-            correct_2 = int(np.count_nonzero(correct & sent_2))
-            correct_counts[k][0] += int(np.count_nonzero(correct)) - correct_2
-            correct_counts[k][1] += correct_2
+            c1 = col < q1[k, 0]
+            c1 &= sent_1
+            c2 = col >= q1[k, 1]
+            c2 &= sent_2
+            correct_counts[k][0] += int(np.count_nonzero(c1))
+            correct_counts[k][1] += int(np.count_nonzero(c2))
+            c1 |= c2
+            all_correct &= c1
         joint_successes += int(np.count_nonzero(all_correct))
     sent_counts[0] = trials - sent_counts[1]
 

@@ -1,6 +1,7 @@
 """Command-line surface: schemas, golden outputs, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -70,12 +71,15 @@ def _main_output(argv):
 
 def _odd_stage():
     """An unvalidated stage whose numbers need every kind of float text."""
+    # QubitState rejects a NaN amplitude, so this output skips its constructor.
+    nan_output = object.__new__(QubitState)
+    object.__setattr__(nan_output, "amplitudes", (math.nan, -0.0))
     return MeasurementStage(
         detectors=(
             np.array([[math.nan, math.inf], [-math.inf, -0.0]]),
             np.array([[5e-324, 1e16], [0.1, -1.0]]),
         ),
-        outputs=(QubitState((math.nan, -0.0)), QubitState((1.0, 5e-324))),
+        outputs=(nan_output, QubitState((1.0, 5e-324))),
         success=SuccessPair(math.inf, -math.inf),
         in_overlap=-0.0,
         out_overlap=1e16,
@@ -571,6 +575,21 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: stage 1: outcome probabilities sum to 1 +/- 2.000e-10\n"
+
+    def test_nan_detector_exits_2(self, monkeypatch):
+        """A stage with one NaN detector entry stops the run before any trial."""
+        inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
+        stages = build_chain(inst, cli._solve(inst, Strategy.JBG_OPTIMAL))
+        bad = stages[0].detectors[0].copy()
+        bad[0, 1] = math.nan
+        stages[0] = dataclasses.replace(stages[0], detectors=(bad, stages[0].detectors[1]))
+        monkeypatch.setattr(cli, "build_chain", lambda inst, result: stages)
+        code, out, err = _main_output(
+            ["simulate", "--overlap", "0.5", "--prior", "0.5", "--receivers", "2",
+             "--trials", "100000", "--seed", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: stage 1: outcome probability is not finite\n"
 
     def test_missing_seed_exits_2(self):
         result = run_cli(

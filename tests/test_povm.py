@@ -57,6 +57,11 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState((1.0, 1.0))
 
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.0), (math.nan, math.nan)])
+    def test_rejects_nan_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="not normalized"):
+            QubitState(amplitudes)
+
     def test_rejects_imaginary_amplitudes(self):
         with pytest.raises(ValueError, match="imaginary"):
             QubitState((0.6j, 0.8j))
