@@ -21,14 +21,14 @@ drawn from the same generator into one buffer allocated once per call;
 consecutive Philox draws reproduce one large draw exactly, and only integer
 counters cross chunk boundaries, so the report does not depend on the chunk
 size, and peak memory is about one chunk's draws whatever the trial count.
-Each chunk is tallied with boolean algebra on its columns: a trial is correct
-at stage k when it was sent state 1 and drew below q1[k, 0], or was sent
-state 2 and drew at or above q1[k, 1]. Any parallel split over trials must
-likewise assign whole trials by index, so results are reproducible
-bit-for-bit and independent of worker count. Philox skips ahead in O(1), but
-``Philox.advance(m)`` moves its counter by m blocks of four draws, so a split
-starting at draw d advances d // 4 and then discards d % 4 draws. The
-generator name is recorded in the report.
+Each chunk is tallied with boolean algebra on a contiguous copy of each
+column: a trial is correct at stage k when it was sent state 1 and drew below
+q1[k, 0], or was sent state 2 and drew at or above q1[k, 1]. Any parallel
+split over trials must likewise assign whole trials by index, so results are
+reproducible bit-for-bit and independent of worker count. Philox skips ahead
+in O(1), but ``Philox.advance(m)`` moves its counter by m blocks of four
+draws, so a split starting at draw d advances d // 4 and then discards d % 4
+draws. The generator name is recorded in the report.
 """
 
 from __future__ import annotations

@@ -377,6 +377,14 @@ class TestBrokenStagesAreCaught:
             with pytest.raises(NumericalUnderflow, match="stage 1: outcome probabilities sum to 1"):
                 run_chain_simulation(inst, [tampered, stages[1]], SimConfig(seed=1, trials=trials))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_nan_detector_raises(self, entry):
+        """NaN fails the negative and completeness tests instead of passing them."""
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        tampered = _tamper(stages[0], *entry, math.nan)
+        with pytest.raises(NumericalUnderflow, match="stage 1: outcome probability is not finite"):
+            run_chain_simulation(inst, [tampered, stages[1]], SimConfig(seed=1, trials=100_000))
+
     def test_stage_count_mismatch(self):
         inst, _, stages = _chain(0.5, 0.5, 2)
         with pytest.raises(ValueError):
