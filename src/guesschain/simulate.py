@@ -15,25 +15,30 @@ are not finite, are negative or do not sum to 1 raise NumericalUnderflow.
 
 Randomness contract: draws come from the counter-based Philox 4x64 generator
 keyed by the seed, consumed in trial-major order -- trial i uses draws
-i*(N+1) .. i*(N+1)+N (one for the prepared state, one per stage). Trials are
-walked in consecutive chunks of at most ``CHUNK_TRIALS`` whole trials, each
-drawn from the same generator into one buffer allocated once per call;
-consecutive Philox draws reproduce one large draw exactly, and only integer
-counters cross chunk boundaries, so the report does not depend on the chunk
-size, and peak memory is about one chunk's draws whatever the trial count.
-Each chunk is tallied with boolean algebra on a contiguous copy of each
-column: a trial is correct at stage k when it was sent state 1 and drew below
-q1[k, 0], or was sent state 2 and drew at or above q1[k, 1]. Any parallel
-split over trials must likewise assign whole trials by index, so results are
-reproducible bit-for-bit and independent of worker count. Philox skips ahead
-in O(1), but ``Philox.advance(m)`` moves its counter by m blocks of four
-draws, so a split starting at draw d advances d // 4 and then discards d % 4
-draws. The generator name is recorded in the report.
+i*(N+1) .. i*(N+1)+N (one for the prepared state, one per stage). The trials
+are split into W contiguous spans of whole trials, W being the smaller of the
+CPUs available to the process and the number of ``CHUNK_TRIALS`` chunks in
+the run. Each span is tallied on its own thread (the first on the calling
+thread, so W = 1 starts none) by its own Philox generator keyed by the seed.
+``Philox.advance(m)`` moves the counter by m blocks of four draws, so a span
+starting at draw d advances d // 4 and then discards d % 4 draws, which
+reproduces the one serial stream exactly. A span walks its trials in pieces
+of at most ceil(CHUNK_TRIALS / W) whole trials, each drawn into the span's
+one buffer, so the threads together hold about one chunk of draws whatever
+the trial count. Each piece is tallied with boolean algebra on a
+contiguous copy of each column: a trial is correct at stage k when it was
+sent state 1 and drew below q1[k, 0], or was sent state 2 and drew at or
+above q1[k, 1]. Only integer counters cross piece and span boundaries, and
+they are summed in span order after the threads join, so the report is the
+same bit for bit whatever the chunk size and W. The generator name is
+recorded in the report.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +57,9 @@ __all__ = [
 
 PRNG_NAME = "philox4x64"
 
-# Trials walked per chunk: bounds the draw buffer and the boolean columns,
-# whose size would otherwise grow with the trial count.
+# Trials walked per chunk by all threads together: bounds the draw buffers
+# and the boolean columns, whose size would otherwise grow with the trial
+# count.
 CHUNK_TRIALS = 1 << 14
 
 # Squared norms more negative than this indicate a broken stage, not roundoff.
@@ -113,12 +119,76 @@ def _z_score(empirical: float, predicted: float, std_error: float) -> float:
     return math.copysign(math.inf, empirical - predicted)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on; tests patch it to force a worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _generator_at(seed: int, draw: int) -> np.random.Generator:
+    """The seed's Philox stream, positioned so that its next draw is ``draw``."""
+    bit_generator = np.random.Philox(key=seed)
+    # advance() moves the counter by blocks of four draws.
+    bit_generator.advance(draw // 4)
+    rng = np.random.Generator(bit_generator)
+    rng.random(draw % 4)
+    return rng
+
+
+def _tally_span(
+    rng: np.random.Generator,
+    prior_1: float,
+    q1: np.ndarray,
+    count: int,
+    buffer: np.ndarray,
+    column: np.ndarray,
+    flags: np.ndarray,
+) -> tuple[int, int, list[list[int]]]:
+    """Tally the next ``count`` trials of ``rng``, len(buffer) trials at a time.
+
+    ``buffer`` (trials x N + 1 draws), ``column`` and the five rows of
+    ``flags`` (bool) are the span's workspace. Returns the joint successes,
+    the trials sent state 2 and, per stage, the correct guesses given state 1
+    and given state 2 sent.
+    """
+    n = len(q1)
+    chunk = len(buffer)
+    sent_1, sent_2, c1, c2, all_correct = flags
+    joint_successes = 0
+    sent_2_count = 0
+    correct_counts = [[0, 0] for _ in range(n)]
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
+        draws = rng.random(out=buffer[:m])
+        s2 = np.greater_equal(draws[:, 0], prior_1, out=sent_2[:m])
+        s1 = np.logical_not(s2, out=sent_1[:m])
+        sent_2_count += int(np.count_nonzero(s2))
+        col, ok1, ok2, ok = column[:m], c1[:m], c2[:m], all_correct[:m]
+        ok.fill(True)
+        for k in range(n):
+            # Outcome 1 (guess "state 1") when the draw falls below q1. A
+            # guess is correct when it names the state sent, so ok1 | ok2
+            # equals np.where(s2, col >= q1[k, 1], col < q1[k, 0]).
+            np.copyto(col, draws[:, k + 1])
+            np.less(col, q1[k, 0], out=ok1)
+            ok1 &= s1
+            np.greater_equal(col, q1[k, 1], out=ok2)
+            ok2 &= s2
+            correct_counts[k][0] += int(np.count_nonzero(ok1))
+            correct_counts[k][1] += int(np.count_nonzero(ok2))
+            ok1 |= ok2
+            ok &= ok1
+        joint_successes += int(np.count_nonzero(ok))
+    return joint_successes, sent_2_count, correct_counts
+
+
 def run_chain_simulation(
     inst: DiscriminationInstance,
     stages: list[MeasurementStage],
     cfg: SimConfig,
 ) -> SimReport:
-    """Simulate the whole chain for cfg.trials seeded trials, CHUNK_TRIALS at a time."""
+    """Simulate the whole chain for cfg.trials seeded trials, split over the CPUs."""
     if len(stages) != inst.n_receivers:
         raise ValueError(f"{len(stages)} stages for {inst.n_receivers} receivers")
     n = inst.n_receivers
@@ -154,37 +224,50 @@ def run_chain_simulation(
         norm = np.sqrt(np.clip(np.where(follow, q[0], q[1]), 0.0, 1.0))
         current = np.where(follow[:, None], out[0], out[1]) / norm[:, None]
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    # Every chunk draws into this one buffer, so peak memory is one chunk.
-    buffer = np.empty((min(CHUNK_TRIALS, trials), n + 1))
-    # Each stage's column is copied here first: two compares on a
-    # contiguous copy take less time than two on the strided column.
-    column = np.empty(len(buffer))
-    joint_successes = 0
-    sent_counts = [0, 0]
-    correct_counts = [[0, 0] for _ in stages]
-    for start in range(0, trials, CHUNK_TRIALS):
-        draws = rng.random(out=buffer[: min(CHUNK_TRIALS, trials - start)])
-        sent_2 = draws[:, 0] >= inst.prior_1
-        sent_1 = ~sent_2
-        sent_counts[1] += int(np.count_nonzero(sent_2))
-        all_correct = np.ones(len(draws), dtype=bool)
-        col = column[: len(draws)]
-        for k in range(n):
-            # Outcome 1 (guess "state 1") when the draw falls below q1. A
-            # guess is correct when it names the state sent, so c1 | c2
-            # equals np.where(sent_2, col >= q1[k, 1], col < q1[k, 0]).
-            np.copyto(col, draws[:, k + 1])
-            c1 = col < q1[k, 0]
-            c1 &= sent_1
-            c2 = col >= q1[k, 1]
-            c2 &= sent_2
-            correct_counts[k][0] += int(np.count_nonzero(c1))
-            correct_counts[k][1] += int(np.count_nonzero(c2))
-            c1 |= c2
-            all_correct &= c1
-        joint_successes += int(np.count_nonzero(all_correct))
-    sent_counts[0] = trials - sent_counts[1]
+    chunks = -(-trials // CHUNK_TRIALS)
+    workers = min(_available_cpus(), chunks)
+    bounds = [trials * i // workers for i in range(workers + 1)]
+    # Each span's generator and workspace are made here, on the calling
+    # thread: the first generator imports numpy.random, and memory that a
+    # span's thread allocated would stay in a malloc arena of that thread.
+    rngs = [_generator_at(cfg.seed, first * (n + 1)) for first in bounds[:-1]]
+    size = min(-(-CHUNK_TRIALS // workers), -(-trials // workers))
+    buffers = np.empty((workers, size, n + 1))
+    # Each stage's draws are copied to a span's column first: two compares on
+    # a contiguous copy take less time than two on the strided column.
+    columns = np.empty((workers, size))
+    flags = np.empty((workers, 5, size), dtype=bool)
+    tallies: list = [None] * workers
+    errors: list = [None] * workers
+
+    def work(i: int) -> None:
+        try:
+            tallies[i] = _tally_span(
+                rngs[i], inst.prior_1, q1, bounds[i + 1] - bounds[i],
+                buffers[i], columns[i], flags[i],
+            )
+        except BaseException as exc:  # raised again in the caller after the join
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=work, args=(i,), name=f"guesschain-span-{i}")
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    joint_successes = sum(tally[0] for tally in tallies)
+    sent_2 = sum(tally[1] for tally in tallies)
+    sent_counts = [trials - sent_2, sent_2]
+    correct_counts = [
+        [sum(tally[2][k][i] for tally in tallies) for i in range(2)] for k in range(n)
+    ]
 
     empirical = joint_successes / trials
     std_error = math.sqrt(empirical * (1.0 - empirical) / trials)

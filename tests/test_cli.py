@@ -7,6 +7,8 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,3 +622,57 @@ class TestExitCodeContract:
         assert main(["sweep", "--variable", "prior", "--points", "3", "--receivers", "1",
                      "--overlap", "0.2", "--out", "/nonexistent_dir/y.csv"]) == 3
         capsys.readouterr()
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_argv_exits_0_to_3_with_json_on_stdout(self, data):
+        """Over well-formed argv of all four subcommands, with values in and
+        out of range, main returns a documented code, raises nothing, and
+        prints JSON (NaN and Infinity admitted under schema 1) or nothing."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = data.draw(_argv(Path(tmp)))
+            code, out, err = _main_output(argv)
+        assert code in (0, 1, 2, 3)
+        assert code != 1 or argv[0] == "simulate"
+        if code >= 2:
+            assert (out, err[:7]) == ("", "error: ")
+        elif argv[0] == "sweep":
+            assert out == ""
+        else:
+            assert json.loads(out)["schema_version"] == 1
+
+
+_UNIT_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+_ANY_FLOAT = st.one_of(_UNIT_FLOAT, st.floats(allow_nan=True, allow_infinity=True))
+_STRATEGY_NAME = st.sampled_from([s.name for s in Strategy] + ["jbg-optimal"])
+
+
+@st.composite
+def _argv(draw, tmp):
+    """argv that argparse accepts; ``--name=value`` keeps a negative value
+    from reading as a flag. Half the draws keep every value in range, the
+    other half let any value stray out of it."""
+    wild = draw(st.booleans())
+    real = _ANY_FLOAT if wild else _UNIT_FLOAT
+    name = st.one_of(_STRATEGY_NAME, st.just("NO_SUCH")) if wild else _STRATEGY_NAME
+    command = draw(st.sampled_from(["optimize", "sweep", "simulate", "find-sb"]))
+    receivers = f"--receivers={draw(st.integers(-1 if wild else 2, 12))}"
+    if command == "find-sb":
+        return [command, receivers]
+    if command == "sweep":
+        out = tmp / "missing" / "grid.csv" if wild and draw(st.booleans()) else tmp / "grid.csv"
+        strategies = draw(st.lists(name, min_size=0 if wild else 1, max_size=3))
+        argv = [command, f"--variable={draw(st.sampled_from(['overlap', 'prior', 'both']))}",
+                receivers, f"--out={out}", f"--strategies={','.join(strategies)}"]
+        for flag in ("start", "stop", "prior-start", "prior-stop", "overlap", "prior"):
+            argv.append(f"--{flag}={draw(real)!r}")
+        for flag in ("points", "prior-points"):
+            argv.append(f"--{flag}={draw(st.integers(-1 if wild else 2, 6))}")
+        return argv
+    argv = [command, f"--overlap={draw(real)!r}", f"--prior={draw(real)!r}", receivers,
+            f"--strategy={draw(name)}"]
+    if command == "optimize":
+        return argv + (["--emit-stages"] if draw(st.booleans()) else [])
+    trials = draw(st.integers(-1 if wild else 1, 50_000))
+    seed = draw(st.integers(-1, 2**130) if wild else st.integers(0, 2**32))
+    return argv + [f"--trials={trials}", f"--seed={seed}"]

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -80,21 +83,24 @@ class TestChunking:
         assert peaks[1_000_000] <= 1.1 * peaks[200_000]
 
     @pytest.mark.parametrize("n", [8, 200])
-    def test_peak_memory_is_about_one_chunk_of_draws(self, n):
-        """Every chunk draws into one buffer: no second chunk is held."""
+    def test_peak_memory_is_about_one_chunk_of_draws(self, monkeypatch, n):
+        """The threads' buffers hold one chunk of draws between them, so no
+        second chunk is held, whether one thread or two walk the trials."""
         inst, _, stages = _chain(0.5, 0.5, n)
         chunk_bytes = simulate.CHUNK_TRIALS * (n + 1) * 8
         # The first run in a process imports numpy.random's modules.
         run_chain_simulation(inst, stages, SimConfig(seed=3, trials=1))
-        tracemalloc.start()
-        try:
-            run_chain_simulation(
-                inst, stages, SimConfig(seed=3, trials=2 * simulate.CHUNK_TRIALS + 1)
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * chunk_bytes
+        for cpus in (1, 2):
+            monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                run_chain_simulation(
+                    inst, stages, SimConfig(seed=3, trials=2 * simulate.CHUNK_TRIALS + 1)
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * chunk_bytes, f"{cpus} CPUs"
 
     @pytest.mark.parametrize("trial", [1, 5, 7])
     def test_split_at_an_unaligned_draw_reproduces_the_stream(self, trial):
@@ -109,6 +115,54 @@ class TestChunking:
         assert np.array_equal(split.random((3, n + 1)), serial[trial:])
         naive = np.random.Generator(np.random.Philox(key=31).advance(d))
         assert not np.array_equal(naive.random((3, n + 1)), serial[trial:])
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        """Eight spans of small pieces, the interpreter switching threads every
+        microsecond: a count lost or added between threads changes the report."""
+        inst, _, stages = _chain(0.45, 0.35, 3)
+        cfg = SimConfig(seed=5, trials=20_001)
+        monkeypatch.setattr(simulate, "CHUNK_TRIALS", 64)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
+        expected = run_chain_simulation(inst, stages, cfg)
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_chain_simulation(inst, stages, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == expected
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert simulate._available_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._available_cpus() == 1
+
+
+class TestWorkerFailure:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_failing_span_raises_in_the_caller(self, monkeypatch, cpus):
+        """Spans after the first run on threads of their own; the first
+        failure in span order reaches the caller, after every thread ends."""
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        tally_span = simulate._tally_span
+
+        def failing(*args):
+            name = threading.current_thread().name
+            if name.startswith("guesschain-span-"):
+                raise RuntimeError(f"no tally in {name}")
+            return tally_span(*args)
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "_tally_span", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no tally in guesschain-span-1$"):
+            run_chain_simulation(
+                inst, stages, SimConfig(seed=1, trials=3 * simulate.CHUNK_TRIALS)
+            )
+        assert threading.active_count() == before
 
 
 def _per_trial_walk(inst, stages, cfg):
@@ -242,6 +296,15 @@ class TestOutcomeTable:
         assert run_chain_simulation(inst, stages, cfg) == _per_trial_walk(inst, stages, cfg)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    # At N = 2 a trial takes 3 draws, so a span starting at trial t starts at
+    # draw 3t, which is not a multiple of 4 unless t is. Eight CPUs with 5
+    # one-trial chunks run 5 spans; 23 trials over 3 CPUs split 7 + 8 + 8,
+    # with spans starting at draws 21 and 45; 4,097 trials fill 2 chunks.
+    @example("JBG_OPTIMAL", 2, 0.45, 0.35, (1, 5), 3, 8)
+    @example("JBG_OPTIMAL", 2, 0.45, 0.35, (7, 23), 3, 3)
+    @example("BOUNDARY", 2, 0.6, 0.25, (4096, 4097), 9, 8)
+    @example("INDIVIDUAL_GREEDY", 2, 0.3, 0.7, (7, 22), 11, 2)
+    @example("JBG_SYMMETRIC_ANALYTIC", 2, 0.3, 0.5, (7, 22), 11, 1)
     @given(
         strategy=st.sampled_from(sorted(STRATEGIES)),
         n=st.integers(1, 200),
@@ -253,8 +316,9 @@ class TestOutcomeTable:
         prior_1=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
         chunking=_chunked_trials(),
         seed=st.integers(0, 2**32),
+        cpus=st.sampled_from([1, 2, 3, 8]),
     )
-    def test_equals_the_where_tally(self, strategy, n, overlap, prior_1, chunking, seed):
+    def test_equals_the_where_tally(self, strategy, n, overlap, prior_1, chunking, seed, cpus):
         inst = DiscriminationInstance(overlap, prior_1, n_receivers=n)
         try:
             stages = build_chain(inst, STRATEGIES[strategy](inst))
@@ -262,7 +326,8 @@ class TestOutcomeTable:
             assume(False)  # some chains near overlap 1 do not build yet
         chunk, trials = chunking
         cfg = SimConfig(seed=seed, trials=trials)
-        with mock.patch.object(simulate, "CHUNK_TRIALS", chunk):
+        with mock.patch.object(simulate, "CHUNK_TRIALS", chunk), \
+                mock.patch.object(simulate, "_available_cpus", lambda: cpus):
             report = run_chain_simulation(inst, stages, cfg)
             expected = _where_tally(inst, stages, cfg)
         # repr tells -0.0 from 0.0 and shows NaN, so this compares bit for bit
