@@ -16,10 +16,11 @@ are not finite, are negative or do not sum to 1 raise NumericalUnderflow.
 Randomness contract: draws come from the counter-based Philox 4x64 generator
 keyed by the seed, consumed in trial-major order -- trial i uses draws
 i*(N+1) .. i*(N+1)+N (one for the prepared state, one per stage). The trials
-are split into W contiguous spans of whole trials, W being the smaller of the
-CPUs available to the process and the number of ``CHUNK_TRIALS`` chunks in
-the run. Each span is tallied on its own thread (the first on the calling
-thread, so W = 1 starts none) by its own Philox generator keyed by the seed.
+are split into W contiguous spans of whole trials, W being the smallest of
+the CPUs available to the process, the number of ``CHUNK_TRIALS`` chunks in
+the run and ``MAX_WORKERS`` (2, the only split measured to gain; see there).
+Each span is tallied on its own thread (the first on the calling thread, so
+W = 1 starts none) by its own Philox generator keyed by the seed.
 ``Philox.advance(m)`` moves the counter by m blocks of four draws, so a span
 starting at draw d advances d // 4 and then discards d % 4 draws, which
 reproduces the one serial stream exactly. A span walks its trials in pieces
@@ -30,8 +31,10 @@ contiguous copy of each column: a trial is correct at stage k when it was
 sent state 1 and drew below q1[k, 0], or was sent state 2 and drew at or
 above q1[k, 1]. Only integer counters cross piece and span boundaries, and
 they are summed in span order after the threads join, so the report is the
-same bit for bit whatever the chunk size and W. The generator name is
-recorded in the report.
+same bit for bit whatever the chunk size and W. A span that fails, or an
+interrupt on the calling thread, stops every other span before its next
+piece, and the first failure in span order is raised in the caller once the
+threads have ended. The generator name is recorded in the report.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .povm import MeasurementStage, make_state_pair
 
 __all__ = [
     "CHUNK_TRIALS",
+    "MAX_WORKERS",
     "NumericalUnderflow",
     "PRNG_NAME",
     "SimConfig",
@@ -61,6 +65,14 @@ PRNG_NAME = "philox4x64"
 # and the boolean columns, whose size would otherwise grow with the trial
 # count.
 CHUNK_TRIALS = 1 << 14
+# Most threads a run splits over. W threads walk pieces of CHUNK_TRIALS / W
+# trials, and each piece costs ~80 numpy calls of interpreter work, under
+# the GIL, whatever its size. Timed on a 2-core Xeon with 1e6 trials at
+# N = 2 and 8: on one thread, pieces of 4,096 trials took 21-26% more CPU
+# time than pieces of 16,384; forcing W = 4 made a run 1.3-1.4 times slower
+# than W = 2 and W = 32 made it 17-18 times slower. W = 2 is the only split
+# measured to gain, and no host with more cores has been timed.
+MAX_WORKERS = 2
 
 # Squared norms more negative than this indicate a broken stage, not roundoff.
 UNDERFLOW_SLACK = -1e-12
@@ -144,13 +156,15 @@ def _tally_span(
     buffer: np.ndarray,
     column: np.ndarray,
     flags: np.ndarray,
+    stop: threading.Event,
 ) -> tuple[int, int, list[list[int]]]:
     """Tally the next ``count`` trials of ``rng``, len(buffer) trials at a time.
 
     ``buffer`` (trials x N + 1 draws), ``column`` and the five rows of
     ``flags`` (bool) are the span's workspace. Returns the joint successes,
     the trials sent state 2 and, per stage, the correct guesses given state 1
-    and given state 2 sent.
+    and given state 2 sent. Once ``stop`` is set, the span ends before its
+    next piece and its counts are partial.
     """
     n = len(q1)
     chunk = len(buffer)
@@ -159,6 +173,8 @@ def _tally_span(
     sent_2_count = 0
     correct_counts = [[0, 0] for _ in range(n)]
     for start in range(0, count, chunk):
+        if stop.is_set():
+            break
         m = min(chunk, count - start)
         draws = rng.random(out=buffer[:m])
         s2 = np.greater_equal(draws[:, 0], prior_1, out=sent_2[:m])
@@ -225,7 +241,7 @@ def run_chain_simulation(
         current = np.where(follow[:, None], out[0], out[1]) / norm[:, None]
 
     chunks = -(-trials // CHUNK_TRIALS)
-    workers = min(_available_cpus(), chunks)
+    workers = min(_available_cpus(), chunks, MAX_WORKERS)
     bounds = [trials * i // workers for i in range(workers + 1)]
     # Each span's generator and workspace are made here, on the calling
     # thread: the first generator imports numpy.random, and memory that a
@@ -239,15 +255,20 @@ def run_chain_simulation(
     flags = np.empty((workers, 5, size), dtype=bool)
     tallies: list = [None] * workers
     errors: list = [None] * workers
+    stop = threading.Event()
+
+    def span(i: int) -> None:
+        tallies[i] = _tally_span(
+            rngs[i], inst.prior_1, q1, bounds[i + 1] - bounds[i],
+            buffers[i], columns[i], flags[i], stop,
+        )
 
     def work(i: int) -> None:
         try:
-            tallies[i] = _tally_span(
-                rngs[i], inst.prior_1, q1, bounds[i + 1] - bounds[i],
-                buffers[i], columns[i], flags[i],
-            )
+            span(i)
         except BaseException as exc:  # raised again in the caller after the join
             errors[i] = exc
+            stop.set()
 
     threads = []
     try:
@@ -255,10 +276,16 @@ def run_chain_simulation(
             thread = threading.Thread(target=work, args=(i,), name=f"guesschain-span-{i}")
             thread.start()
             threads.append(thread)
-        work(0)
-    finally:
+        span(0)
         for thread in threads:
             thread.join()
+    except BaseException:
+        # An error or an interrupt on the calling thread, in its span or in a
+        # join, stops every other span before its next piece.
+        stop.set()
+        for thread in threads:
+            thread.join()
+        raise
     for error in errors:
         if error is not None:
             raise error

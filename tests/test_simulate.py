@@ -37,6 +37,29 @@ def _chain(overlap, prior_1, n):
     return inst, result, build_chain(inst, result)
 
 
+def _count_pieces(monkeypatch, hook=None):
+    """Count the pieces each thread draws, by thread name; ``hook(name)``
+    runs before each piece's draws."""
+    pieces = {}
+    generator_at = simulate._generator_at
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, *args, **kwargs):
+            name = threading.current_thread().name
+            if hook is not None:
+                hook(name)
+            pieces[name] = pieces.get(name, 0) + 1
+            return self.rng.random(*args, **kwargs)
+
+    monkeypatch.setattr(
+        simulate, "_generator_at", lambda seed, draw: Counting(generator_at(seed, draw))
+    )
+    return pieces
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_reports(self):
         inst, _, stages = _chain(0.5, 0.5, 2)
@@ -122,6 +145,7 @@ class TestChunking:
         inst, _, stages = _chain(0.45, 0.35, 3)
         cfg = SimConfig(seed=5, trials=20_001)
         monkeypatch.setattr(simulate, "CHUNK_TRIALS", 64)
+        monkeypatch.setattr(simulate, "MAX_WORKERS", 8)
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
         expected = run_chain_simulation(inst, stages, cfg)
         monkeypatch.setattr(simulate, "_available_cpus", lambda: 8)
@@ -133,12 +157,36 @@ class TestChunking:
             sys.setswitchinterval(interval)
         assert report == expected
 
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    def test_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert simulate._available_cpus() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert simulate._available_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert simulate._available_cpus() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert simulate._available_cpus() == 1
+
+    def test_threads_follow_the_cpus_of_the_process(self, monkeypatch):
+        """Spans past the first start one thread each; a process allowed one
+        CPU (say under ``taskset -c 0``) tallies on the calling thread alone."""
+        if hasattr(os, "sched_getaffinity"):
+            assert simulate._available_cpus() == len(os.sched_getaffinity(0))
+        workers = min(simulate._available_cpus(), simulate.MAX_WORKERS)
+        pieces = _count_pieces(monkeypatch)
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        run_chain_simulation(inst, stages, SimConfig(seed=1, trials=4 * simulate.CHUNK_TRIALS))
+        names = {threading.current_thread().name}
+        names.update(f"guesschain-span-{i}" for i in range(1, workers))
+        assert set(pieces) == names
+
+    def test_workers_stop_at_max_workers(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 32)
+        pieces = _count_pieces(monkeypatch)
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        run_chain_simulation(inst, stages, SimConfig(seed=1, trials=64 * simulate.CHUNK_TRIALS))
+        assert len(pieces) == simulate.MAX_WORKERS
 
 
 class TestWorkerFailure:
@@ -156,6 +204,7 @@ class TestWorkerFailure:
             return tally_span(*args)
 
         monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "MAX_WORKERS", cpus)
         monkeypatch.setattr(simulate, "_tally_span", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="^no tally in guesschain-span-1$"):
@@ -163,6 +212,56 @@ class TestWorkerFailure:
                 inst, stages, SimConfig(seed=1, trials=3 * simulate.CHUNK_TRIALS)
             )
         assert threading.active_count() == before
+
+    def test_a_failing_span_stops_the_others(self, monkeypatch):
+        """Span 1 fails once the calling thread's span has begun its first
+        piece; that span draws the piece after span 1 has ended, and stops
+        before its second of eight."""
+        drawing = threading.Event()
+
+        def hook(name):
+            if name == "guesschain-span-1":
+                drawing.wait(timeout=60)
+                raise RuntimeError("no draws in guesschain-span-1")
+            drawing.set()
+            for thread in threading.enumerate():
+                if thread.name == "guesschain-span-1":
+                    thread.join(timeout=60)
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        pieces = _count_pieces(monkeypatch, hook)
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^no draws in guesschain-span-1$"):
+            run_chain_simulation(
+                inst, stages, SimConfig(seed=1, trials=8 * simulate.CHUNK_TRIALS)
+            )
+        assert threading.active_count() == before
+        assert pieces == {threading.current_thread().name: 1}
+
+    def test_an_interrupt_on_the_calling_thread_stops_the_others(self, monkeypatch):
+        """Span 1 draws its first piece only once the calling thread's span is
+        interrupted; it ends well before its eight pieces, and the interrupt
+        reaches the caller."""
+        interrupted = threading.Event()
+
+        def hook(name):
+            if name == "guesschain-span-1":
+                interrupted.wait(timeout=60)
+            else:
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        pieces = _count_pieces(monkeypatch, hook)
+        inst, _, stages = _chain(0.5, 0.5, 2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_chain_simulation(
+                inst, stages, SimConfig(seed=1, trials=16 * simulate.CHUNK_TRIALS)
+            )
+        assert threading.active_count() == before
+        assert pieces["guesschain-span-1"] < 8
 
 
 def _per_trial_walk(inst, stages, cfg):
@@ -327,6 +426,7 @@ class TestOutcomeTable:
         chunk, trials = chunking
         cfg = SimConfig(seed=seed, trials=trials)
         with mock.patch.object(simulate, "CHUNK_TRIALS", chunk), \
+                mock.patch.object(simulate, "MAX_WORKERS", cpus), \
                 mock.patch.object(simulate, "_available_cpus", lambda: cpus):
             report = run_chain_simulation(inst, stages, cfg)
             expected = _where_tally(inst, stages, cfg)
