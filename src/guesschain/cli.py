@@ -176,10 +176,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     strategies = [_parse_strategy(name) for name in args.strategies.split(",") if name]
     if not strategies:
@@ -227,14 +223,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         Strategy.INDIVIDUAL_GREEDY: greedy_point,
         Strategy.BOUNDARY: boundary_point,
     }
-    rows = [[_float_cell(getattr(inst, name)) for name in coords] for inst in insts]
+    # Every cell is a Python float, so repr gives its shortest round-trip text.
+    rows = [[repr(getattr(inst, name)) for name in coords] for inst in insts]
     for strategy in strategies:
         if strategy is Strategy.JBG_OPTIMAL:
             column = optimize_reduced_column(insts)
         else:
             column = map(closed_form[strategy], insts)
         for row, (p1, p2, joint) in zip(rows, column):
-            row += [_float_cell(joint), _float_cell(p1), _float_cell(p2)]
+            row += [repr(joint), repr(p1), repr(p2)]
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -32,7 +32,8 @@ bisects r on [0, phi/2] a fixed number of times. The cases eta2 = 0 (r >= 0,
 the bisection runs to theta = 0) and phi = 0 (an empty interval) need no
 branch of their own. At equal priors the crossing is phi/2 itself exactly
 when H' >= 0 there, that is when N cos(phi) >= N - 1, which gives the
-threshold s_b = ((2N - 1) / N**2)**(N/2) of the symmetric solution.
+threshold s_b = ((2N - 1) / N**2)**(N/2) of the symmetric solution. In that
+case the scalar solver takes phi/2 without bisecting.
 
 ``grid_search_oracle`` (pure scan over [0, pi/2], no refinement) and
 ``optimize_full_chain`` (search over the *unreduced* per-receiver variables
@@ -54,11 +55,10 @@ from .core import (
     Strategy,
     StrategyResult,
     SuccessPair,
-    equal_prior_jbg,
+    _symmetric_p,
     helstrom_success_pair,
     overlap_ladder,
     p2_from_p1,
-    theta_residual,
 )
 
 __all__ = [
@@ -98,19 +98,32 @@ def _objective(theta: np.ndarray, phi: float, eta1: float, eta2: float, n: int) 
     return eta1 * p1**n + eta2 * p2**n
 
 
+def _symmetric_is_optimal(phi: float, n: int, eta1: float, eta2: float) -> bool:
+    # At equal priors phi/2 is the maximum exactly when N cos(phi) >= N - 1
+    # (module docstring).
+    return eta1 == eta2 and n * math.cos(phi) >= n - 1
+
+
 def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
     """Maximize g at budget ``s_eff`` for eta1 >= eta2; returns (p1, p2, joint)."""
     phi = math.asin(s_eff)
-    # residual(lo) < 0 <= residual(hi) throughout; the one sign change on
-    # [0, phi/2] is the maximum (module docstring).
-    lo, hi = 0.0, 0.5 * phi
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if theta_residual(mid, phi, eta1, eta2, n) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return _finish_reduced(0.5 * (lo + hi), phi, s_eff, n, eta1, eta2)
+    theta = 0.5 * phi
+    if not _symmetric_is_optimal(phi, n, eta1, eta2):
+        # residual(lo) < 0 <= residual(hi) throughout; the one sign change on
+        # [0, phi/2] is the maximum (module docstring). The test is
+        # core.theta_residual(mid, ...) < 0.0 written as a < b, in the same
+        # operation order: a - b < 0.0 and a < b agree for every float.
+        cos, sin, e = math.cos, math.sin, 2 * n - 1
+        lo, hi = 0.0, theta
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            rest = phi - mid
+            if eta1 * cos(mid) ** e * sin(mid) < eta2 * cos(rest) ** e * sin(rest):
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+    return _finish_reduced(theta, phi, s_eff, n, eta1, eta2)
 
 
 def _finish_reduced(
@@ -123,14 +136,14 @@ def _finish_reduced(
         p2 = p2_from_p1(p1, s_eff)
         return p1, p2, eta1 * p1**n + eta2 * p2**n
 
-    p1, p2, joint = evaluate(theta)
-    at_half = evaluate(0.5 * phi)
-    # At equal priors phi/2 is the maximum exactly when N cos(phi) >= N - 1
-    # (module docstring), though rounding can make theta* evaluate higher.
-    # Elsewhere take the higher of the two; a tie goes to phi/2, the most
-    # symmetric pair.
-    if (eta1 == eta2 and n * math.cos(phi) >= n - 1) or at_half[2] >= joint:
-        p1, p2, joint = at_half
+    # In the symmetric case phi/2 is the maximum, though rounding can make
+    # theta* evaluate higher, so theta is not evaluated. Elsewhere take the
+    # higher of the two; a tie goes to phi/2, the most symmetric pair.
+    p1, p2, joint = at_half = evaluate(0.5 * phi)
+    if not _symmetric_is_optimal(phi, n, eta1, eta2):
+        p1, p2, joint = evaluate(theta)
+        if at_half[2] >= joint:
+            p1, p2, joint = at_half
     # On [0, phi/2] p1 >= p2; the swap only undoes rounding at theta ~ phi/2.
     if p1 < p2:
         p1, p2 = p2, p1
@@ -391,7 +404,8 @@ def find_sb(n: int) -> float:
 
     def symmetric_beaten(s: float) -> bool:
         inst = DiscriminationInstance(overlap=s, prior_1=0.5, n_receivers=n)
-        gap = optimize_reduced(inst).joint_success - equal_prior_jbg(s, n).joint_success
+        # _symmetric_p(s, n) ** n is equal_prior_jbg(s, n).joint_success.
+        gap = optimize_reduced(inst).joint_success - _symmetric_p(s, n) ** n
         return gap > CANDIDATE_TOLERANCE
 
     lo, hi = 0.0, 0.999

@@ -20,8 +20,8 @@ from guesschain import (
     optimize_reduced,
     optimize_reduced_column,
 )
-from guesschain.core import p2_from_p1
-from guesschain.optimize import CANDIDATE_TOLERANCE
+from guesschain.core import p2_from_p1, theta_residual
+from guesschain.optimize import BISECTION_STEPS, CANDIDATE_TOLERANCE, _solve_reduced
 
 # Overlaps over [0, 1] with extra weight within 1e-12 of either end; priors
 # with extra weight on 0, 0.5, 1, on 10^U(-16, -4) from 0 or 1, and on
@@ -48,6 +48,26 @@ EXTREME_OVERLAPS = st.one_of(
 )
 # Chain lengths 1..200, weighted to short chains, where n * phi**2 gets smallest.
 RECEIVERS = st.one_of(st.integers(1, 8), st.integers(1, 200))
+
+
+def _threshold(n):
+    """s_b(N) = ((2N - 1) / N**2)**(N/2): the symmetric pair is optimal up to it."""
+    return ((2 * n - 1) / n**2) ** (n / 2)
+
+
+# (N, overlap) pairs: any overlap, or one within 10^U(-16, -6) relative or
+# 1..40 ulp of s_b(N) on either side, clipped to [0, 1].
+CHAINS = st.one_of(
+    st.tuples(RECEIVERS, st.one_of(OVERLAPS, EXTREME_OVERLAPS)),
+    st.builds(
+        lambda n, sign, e: (n, min(_threshold(n) * (1.0 + sign * 10.0**e), 1.0)),
+        RECEIVERS, SIGN, st.floats(-16.0, -6.0),
+    ),
+    st.builds(
+        lambda n, sign, k: (n, min(_threshold(n) + sign * k * math.ulp(_threshold(n)), 1.0)),
+        RECEIVERS, SIGN, st.integers(1, 40),
+    ),
+)
 
 
 class TestOptimizeReduced:
@@ -272,6 +292,48 @@ class TestOptimizeReducedColumn:
         assert optimize_reduced_column(insts) == [(*r.stages[0], r.joint_success) for r in singles]
 
 
+def _reference_solve_reduced(s_eff, n, eta1, eta2):
+    """The scalar solver without shortcuts: bisect core.theta_residual
+    BISECTION_STEPS times on [0, phi/2], evaluate both the bisected point and
+    phi/2, and keep phi/2 in the symmetric case or on a tie."""
+    phi = math.asin(s_eff)
+    lo, hi = 0.0, 0.5 * phi
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if theta_residual(mid, phi, eta1, eta2, n) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+    def evaluate(theta):
+        p1 = math.cos(theta) ** 2
+        p2 = p2_from_p1(p1, s_eff)
+        return p1, p2, eta1 * p1**n + eta2 * p2**n
+
+    p1, p2, joint = evaluate(0.5 * (lo + hi))
+    at_half = evaluate(0.5 * phi)
+    if (eta1 == eta2 and n * math.cos(phi) >= n - 1) or at_half[2] >= joint:
+        p1, p2, joint = at_half
+    if p1 < p2:
+        p1, p2 = p2, p1
+    return p1, p2, eta1 * p1**n + eta2 * p2**n
+
+
+class TestScalarLoop:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @example(chain=(2, 0.5), prior=0.5)
+    @example(chain=(2, 0.75), prior=0.5)
+    @example(chain=(8, 1.0), prior=0.5)
+    @given(chain=CHAINS, prior=st.one_of(st.sampled_from((0.5, 0.0, 1.0)), PRIORS))
+    def test_bit_identical_to_the_reference_loop(self, chain, prior):
+        n, overlap = chain
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        eta1, eta2 = max(inst.prior_1, inst.prior_2), min(inst.prior_1, inst.prior_2)
+        args = (inst.effective_overlap, n, eta1, eta2)
+        got = _solve_reduced(*args)
+        assert [x.hex() for x in got] == [x.hex() for x in _reference_solve_reduced(*args)]
+
+
 class TestUnimodality:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n=RECEIVERS, overlap=st.one_of(OVERLAPS, EXTREME_OVERLAPS), prior=PRIORS)
@@ -367,6 +429,21 @@ class TestThreshold:
 
     def test_three_receivers(self):
         assert 0.41 <= find_sb(3) <= 0.43
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2, 0.7500055074691774),
+            (3, 0.4140924053192139),
+            (4, 0.1914111042022705),
+            (5, 0.07776296424865725),
+            (6, 0.028529219627380375),
+            (7, 0.00961962032318115),
+            (8, 0.0030182189941406253),
+        ],
+    )
+    def test_values_are_pinned(self, n, expected):
+        assert find_sb(n) == expected
 
     def test_decreases_with_chain_length(self):
         assert find_sb(4) < find_sb(3) < find_sb(2)
