@@ -100,11 +100,16 @@ def make_state_pair(overlap: float) -> tuple[QubitState, QubitState]:
     |psi1> = cos(a)|0> + sin(a)|1>, |psi2> = cos(a)|0> - sin(a)|1>, where
     cos(2a) = overlap.
     """
+    c, s = _half_angle(overlap)
+    return QubitState((c, s)), QubitState((c, -s))
+
+
+def _half_angle(overlap: float) -> tuple[float, float]:
+    """(cos(a), sin(a)) with cos(2a) = overlap: the canonical pair's amplitudes."""
     if not (math.isfinite(overlap) and -1e-12 <= overlap <= 1.0 + 1e-12):
         raise ValueError(f"overlap must lie in [0, 1], got {overlap!r}")
     alpha = 0.5 * math.acos(min(max(overlap, -1.0), 1.0))
-    c, s = math.cos(alpha), math.sin(alpha)
-    return QubitState((c, s)), QubitState((c, -s))
+    return math.cos(alpha), math.sin(alpha)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ class MeasurementStage:
             min_eig = 0.5 * (p + r) - math.hypot(0.5 * (p - r), q)
             if min_eig < -1e-12:
                 raise ValueError(f"POVM element {i} not positive: min eig {min_eig:.3e}")
-        c, s = make_state_pair(self.in_overlap)[0].amplitudes
+        c, s = _half_angle(self.in_overlap)
         r1, w1, r2, w2 = _amplitudes(self.in_overlap, self.success, self.out_overlap)
         v1, v2 = (state.amplitudes for state in self.outputs)
         # B psi for psi1 = (c, s) and psi2 = (c, -s), each with its amplitude

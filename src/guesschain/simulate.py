@@ -92,9 +92,10 @@ class SimConfig:
     trials: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        # bool is an int subclass, but True is no trial count or seed
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
 

@@ -21,6 +21,7 @@ from guesschain import (
     NumericalUnderflow,
     QubitState,
     Strategy,
+    StrategyResult,
     SuccessPair,
     build_chain,
     cli,
@@ -48,19 +49,34 @@ def _reference_stage_json(stage):
     }
 
 
-def _reference_optimize(overlap, prior, n, strategy):
-    """(exit code, stdout) of ``optimize --emit-stages`` through the generic
-    indent encoder."""
+def _reference_payload(inst, result, stages=None):
+    """The generic schema-1 optimize object, with the measurement stages
+    when ``stages`` is not None."""
+    payload = {
+        "schema_version": 1,
+        "overlap": inst.overlap,
+        "prior_1": inst.prior_1,
+        "prior_2": inst.prior_2,
+        "receivers": inst.n_receivers,
+        "strategy": result.strategy.name,
+        "stages": [{"p1": s.p1, "p2": s.p2} for s in result.stages],
+        "overlaps": list(result.overlaps),
+        "joint_success": result.joint_success,
+    }
+    if stages is not None:
+        payload["measurement_stages"] = [_reference_stage_json(stage) for stage in stages]
+    return payload
+
+
+def _reference_optimize(overlap, prior, n, strategy, emit_stages):
+    """(exit code, stdout) of ``optimize`` through the generic indent encoder."""
     try:
         inst = DiscriminationInstance(overlap, prior, n_receivers=n)
         result = cli._solve(inst, strategy)
-        payload = cli._result_json(inst, result)
-        payload["measurement_stages"] = [
-            _reference_stage_json(stage) for stage in build_chain(inst, result)
-        ]
+        stages = build_chain(inst, result) if emit_stages else None
     except ValueError:
         return 2, ""
-    return 0, json.dumps(payload, indent=2) + "\n"
+    return 0, json.dumps(_reference_payload(inst, result, stages), indent=2) + "\n"
 
 
 def _main_output(argv):
@@ -71,19 +87,21 @@ def _main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _odd_stage():
-    """An unvalidated stage whose numbers need every kind of float text."""
+def _odd_stage(in_overlap=-0.0):
+    """An unvalidated stage whose numbers need every kind of float text: 0.0
+    and -0.0, NaNs of two sign bits, both infinities, a subnormal and
+    exponents."""
     # QubitState rejects a NaN amplitude, so this output skips its constructor.
     nan_output = object.__new__(QubitState)
-    object.__setattr__(nan_output, "amplitudes", (math.nan, -0.0))
+    object.__setattr__(nan_output, "amplitudes", (-math.nan, -0.0))
     return MeasurementStage(
         detectors=(
             np.array([[math.nan, math.inf], [-math.inf, -0.0]]),
             np.array([[5e-324, 1e16], [0.1, -1.0]]),
         ),
         outputs=(nan_output, QubitState((1.0, 5e-324))),
-        success=SuccessPair(math.inf, -math.inf),
-        in_overlap=-0.0,
+        success=SuccessPair(math.inf, 0.0),
+        in_overlap=in_overlap,
         out_overlap=1e16,
     )
 
@@ -353,37 +371,51 @@ class TestOptimizeCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == GOLDEN_EMIT_STAGES
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=160, deadline=None, derandomize=True, database=None)
     @given(
         strategy=st.sampled_from(list(Strategy)),
         n=st.integers(1, 200),
         overlap=st.one_of(
-            st.sampled_from([0.0, 1.0]), st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k)
+            st.sampled_from([0.0, 1.0]),
+            st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k),
+            st.floats(0.0, 1.0),
         ),
-        prior=st.sampled_from([0.0, 0.5, 1.0]),
+        prior=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        emit_stages=st.booleans(),
     )
-    def test_emit_stages_equals_the_generic_encoder(self, strategy, n, overlap, prior):
+    def test_emit_stages_equals_the_generic_encoder(
+        self, strategy, n, overlap, prior, emit_stages
+    ):
         argv = ["optimize", "--overlap", repr(overlap), "--prior", repr(prior),
-                "--receivers", str(n), "--strategy", strategy.name, "--emit-stages"]
-        code, out, _ = _main_output(argv)
-        assert (code, out) == _reference_optimize(overlap, prior, n, strategy)
+                "--receivers", str(n), "--strategy", strategy.name]
+        code, out, _ = _main_output(argv + ["--emit-stages"] * emit_stages)
+        assert (code, out) == _reference_optimize(overlap, prior, n, strategy, emit_stages)
 
     def test_stage_text_equals_the_generic_encoder(self):
-        """NaN, infinities, -0.0, subnormals and exponents read as json writes them."""
-        stage = _odd_stage()
-        text = json.dumps({"measurement_stages": [_reference_stage_json(stage)]}, indent=2)
-        assert text == '{\n  "measurement_stages": [\n    ' + cli._stage_text(stage) + "\n  ]\n}"
+        """0.0 and -0.0, two NaNs, infinities, a subnormal and exponents read as
+        json writes them, in every list of the payload and in its head; the
+        stages share the head's overlap 0.5."""
+        inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
+        result = StrategyResult(
+            stages=(SuccessPair(0.0, -0.0), SuccessPair(math.nan, 5e-324)),
+            overlaps=(0.5, -math.inf),
+            joint_success=float("nan"),
+            strategy=Strategy.BOUNDARY,
+        )
+        stages = [_odd_stage(in_overlap=0.5), _odd_stage()]
+        for emitted in (stages, None):
+            expected = json.dumps(_reference_payload(inst, result, emitted), indent=2)
+            assert cli._optimize_text(inst, result, emitted) == expected
 
     def test_stages_splice_into_the_payload(self, monkeypatch):
-        stages = [_odd_stage(), _odd_stage()]
+        stages = [_odd_stage(), _odd_stage(in_overlap=0.5)]
         monkeypatch.setattr(cli, "build_chain", lambda inst, result: stages)
         code, out, _ = _main_output(
             ["optimize", "--overlap", "0.5", "--prior", "0.3", "--receivers", "2",
              "--emit-stages"]
         )
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
-        payload = cli._result_json(inst, cli._solve(inst, Strategy.JBG_OPTIMAL))
-        payload["measurement_stages"] = [_reference_stage_json(stage) for stage in stages]
+        payload = _reference_payload(inst, cli._solve(inst, Strategy.JBG_OPTIMAL), stages)
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
 

@@ -567,3 +567,8 @@ class TestSimConfig:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             SimConfig(seed=-1, trials=10)
+
+    @pytest.mark.parametrize("seed, trials", [(True, 10), (1, True), (False, 10), (True, True)])
+    def test_rejects_booleans(self, seed, trials):
+        with pytest.raises(ValueError):
+            SimConfig(seed=seed, trials=trials)
