@@ -21,9 +21,8 @@ JSON is written by ``json.dumps(indent=2)``, except that ``optimize`` writes
 the same bytes in one encoder pass. At import, json itself lays out the
 templates: schema-1 skeletons of the payload's frame, a ``{"p1", "p2"}`` stage,
 an ``overlaps`` item and a measurement stage go through ``json.dumps(indent=2)``.
-A run collects every number of its payload and formats each distinct float
-once, in a single call of json's C encoder; floats are told apart by their
-bits, so 0.0 and -0.0 stay apart. Each number thus reads as json writes it
+A run collects every number of its payload and formats them all in a single
+call of json's C encoder, so each number reads as json writes it
 (``float.__repr__``, or ``NaN``/``Infinity``/``-Infinity``), and the
 pure-Python indent encoder never runs: the 25 payloads of one chain-build round
 (1,850 measurement stages) take about a fifth of the generic encoder's time.
@@ -36,7 +35,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import struct
 import sys
 
 from .core import (
@@ -162,18 +160,10 @@ _ITEMS = (
 
 
 def _float_texts(values: list[float]) -> list[str]:
-    """json's text of each float, with every distinct value formatted once.
-
-    Values are told apart by their bits, since 0.0 and -0.0 compare equal but
-    print differently; a NaN prints NaN whatever its bits. One call of json's
-    C encoder formats the distinct values: float.__repr__, or NaN, Infinity
-    and -Infinity, as the indent encoder writes them.
-    """
-    count = len(values)
-    bits = struct.unpack(f"{count}q", struct.pack(f"{count}d", *values))
-    distinct = dict(zip(bits, values))
-    texts = json.dumps(list(distinct.values()))[1:-1].split(", ")
-    return list(map(dict(zip(distinct, texts)).__getitem__, bits))
+    """json's text of each float, from one call of json's C encoder:
+    float.__repr__, or NaN, Infinity and -Infinity, as the indent encoder
+    writes them."""
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def _optimize_text(

@@ -371,19 +371,30 @@ class TestOptimizeCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == GOLDEN_EMIT_STAGES
 
-    @settings(max_examples=160, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         strategy=st.sampled_from(list(Strategy)),
         n=st.integers(1, 200),
         overlap=st.one_of(
-            st.sampled_from([0.0, 1.0]),
-            st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k),
-            st.floats(0.0, 1.0),
+            st.sampled_from([0.0, 1.0]), st.integers(1, 15).map(lambda k: 1.0 - 10.0**-k)
         ),
-        prior=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        prior=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_emit_stages_equals_the_generic_encoder(self, strategy, n, overlap, prior):
+        argv = ["optimize", "--overlap", repr(overlap), "--prior", repr(prior),
+                "--receivers", str(n), "--strategy", strategy.name, "--emit-stages"]
+        code, out, _ = _main_output(argv)
+        assert (code, out) == _reference_optimize(overlap, prior, n, strategy, True)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        strategy=st.sampled_from(list(Strategy)),
+        n=st.integers(1, 200),
+        overlap=st.floats(0.0, 1.0),
+        prior=st.floats(0.0, 1.0),
         emit_stages=st.booleans(),
     )
-    def test_emit_stages_equals_the_generic_encoder(
+    def test_optimize_equals_the_generic_encoder_on_uniform_inputs(
         self, strategy, n, overlap, prior, emit_stages
     ):
         argv = ["optimize", "--overlap", repr(overlap), "--prior", repr(prior),
