@@ -27,16 +27,17 @@ for k, stage in enumerate(stages, start=1):
     print(f"receiver {k}: consumes overlap {stage.in_overlap:.6f}, "
           f"emits overlap {stage.out_overlap:.6f}")
     print(f"  success pair: p1 = {stage.success.p1:.6f}, p2 = {stage.success.p2:.6f}")
-    for name, det in zip(("B1", "B2"), stage.detectors):
+    b1, b2 = map(np.array, stage.detectors)
+    for name, det in (("B1", b1), ("B2", b2)):
         print(f"  {name} =")
         for row in det:
             print(f"      [{row[0]: .6f} {row[1]: .6f}]")
-    gram = sum(d.T @ d for d in stage.detectors)
+    gram = b1.T @ b1 + b2.T @ b2
     print(f"  completeness defect |B1'B1 + B2'B2 - I| = "
           f"{np.max(np.abs(gram - np.eye(2))):.2e}")
-    psi1, psi2 = make_state_pair(stage.in_overlap)
-    q1 = np.linalg.norm(stage.detectors[0] @ psi1.vector) ** 2
-    q2 = np.linalg.norm(stage.detectors[1] @ psi2.vector) ** 2
+    psi1, psi2 = (np.array(state.amplitudes) for state in make_state_pair(stage.in_overlap))
+    q1 = np.linalg.norm(b1 @ psi1) ** 2
+    q2 = np.linalg.norm(b2 @ psi2) ** 2
     print(f"  Born-rule check: <psi1|B1'B1|psi1> = {q1:.6f}, "
           f"<psi2|B2'B2|psi2> = {q2:.6f}")
     stage.validate()

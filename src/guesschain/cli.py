@@ -182,8 +182,8 @@ def _optimize_text(
     values += result.overlaps
     values.append(result.joint_success)
     for stage in stages or ():
-        values += stage.detectors[0].ravel().tolist()
-        values += stage.detectors[1].ravel().tolist()
+        for detector in stage.detectors:
+            values += itertools.chain.from_iterable(detector)
         values += stage.outputs[0].amplitudes
         values += stage.outputs[1].amplitudes
         values += stage.success

@@ -27,18 +27,16 @@ equals the rest's cos^2 to rounding, since sqrt(1 - p) is lost as p nears 1.
 Gram-Schmidt step, so completeness holds to rounding; if nothing of the second
 column is left, it is the unit column perpendicular to the first per detector.
 
-Overlaps, amplitudes and detectors are real throughout (float64); states are
-compared up to sign. ``MeasurementStage.validate`` checks a stage with scalar
-2x2 algebra on its eight detector entries, so its verdicts do not depend on
-the BLAS numpy was built with.
+Overlaps, amplitudes and detectors are real Python floats throughout (each
+detector a ((a, b), (c, d)) tuple); states are compared up to sign.
+``MeasurementStage.validate`` checks a stage with scalar 2x2 algebra on its
+eight detector entries, so its verdicts do not depend on any BLAS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     DiscriminationInstance,
@@ -76,22 +74,26 @@ class QubitState:
     amplitudes: tuple[float, float]
 
     def __post_init__(self) -> None:
-        a, b = self.amplitudes
-        if a.imag or b.imag:
-            raise ValueError("amplitudes must be real, got a nonzero imaginary part")
-        a, b = float(a.real), float(b.real)
+        a, b = _real_floats(self.amplitudes, "amplitudes")
         norm_sq = a * a + b * b
         if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails the test
             raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", (a, b))
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes)
-
     def fidelity(self, other: "QubitState") -> float:
         """<self|other>^2; sign-insensitive equality measure."""
-        return float(np.dot(self.vector, other.vector) ** 2)
+        (a, b), (c, d) = self.amplitudes, other.amplitudes
+        return (a * c + b * d) ** 2
+
+
+def _real_floats(values, what: str) -> tuple[float, ...]:
+    """``values`` as Python floats, rejecting a nonzero imaginary part.
+
+    float(x.real) keeps the sign bits of -0.0 and NaN.
+    """
+    if any(x.imag for x in values):  # NaN counts as nonzero
+        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+    return tuple(float(x.real) for x in values)
 
 
 def make_state_pair(overlap: float) -> tuple[QubitState, QubitState]:
@@ -114,28 +116,23 @@ def _half_angle(overlap: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeasurementStage:
-    """One receiver's detection operators plus the pure output pair."""
+    """One receiver's detection operators plus the pure output pair. B1 and B2
+    may be given as any real 2x2 input; each is kept as ((a, b), (c, d))."""
 
-    detectors: tuple[np.ndarray, np.ndarray]
+    detectors: tuple[tuple[tuple[float, float], ...], ...]
     outputs: tuple[QubitState, QubitState]
     success: SuccessPair
     in_overlap: float
     out_overlap: float
 
     def __post_init__(self) -> None:
-        frozen = []
-        for det in self.detectors:
-            arr = np.asarray(det)
-            if arr.dtype.kind == "c":
-                if np.any(arr.imag):
-                    raise ValueError("detectors must be real, got a nonzero imaginary part")
-                arr = arr.real
-            arr = np.array(arr, dtype=np.float64)
-            if arr.shape != (2, 2):
-                raise ValueError(f"detectors must be 2x2, got shape {arr.shape}")
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "detectors", tuple(frozen))
+        try:
+            ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = self.detectors
+        except (TypeError, ValueError):  # not iterable, or the wrong length
+            raise ValueError("a stage needs exactly two 2x2 detectors") from None
+        entries = (a1, b1, c1, d1, a2, b2, c2, d2)
+        a1, b1, c1, d1, a2, b2, c2, d2 = _real_floats(entries, "detectors")
+        object.__setattr__(self, "detectors", (((a1, b1), (c1, d1)), ((a2, b2), (c2, d2))))
 
     def validate(self) -> None:
         """Check completeness, positivity, action, and output geometry.
@@ -144,10 +141,9 @@ class MeasurementStage:
         ``build_stage`` always passes; this re-check exists so that stages
         arriving from serialization or tests can be trusted. The checks are
         scalar float algebra on the eight detector entries, so a verdict does
-        not depend on which BLAS numpy was built with.
+        not depend on any BLAS.
         """
-        (a1, b1), (c1, d1) = self.detectors[0].tolist()
-        (a2, b2), (c2, d2) = self.detectors[1].tolist()
+        ((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)) = self.detectors
         # B^T B = [[p, q], [q, r]] for B = [[a, b], [c, d]]
         grams = (
             (a1 * a1 + c1 * c1, a1 * b1 + c1 * d1, b1 * b1 + d1 * d1),

@@ -214,10 +214,10 @@ def run_chain_simulation(
     # Walk the two prepared states through the detectors once: out[j] holds
     # B_j applied to the state prepared as i in row i, q[j] its squared norm.
     pair = make_state_pair(inst.overlap)
-    current = np.stack([pair[0].vector, pair[1].vector])
+    current = np.array([pair[0].amplitudes, pair[1].amplitudes])
     q1 = np.empty((n, 2))
     for k, stage in enumerate(stages):
-        out = [current @ b.T for b in stage.detectors]
+        out = [current @ np.array(b).T for b in stage.detectors]
         q = [np.einsum("ij,ij->i", o, o) for o in out]
         # Written so that NaN fails each test, not passes it.
         if not (np.isfinite(q[0]).all() and np.isfinite(q[1]).all()):

@@ -38,8 +38,8 @@ def _reference_stage_json(stage):
     """The generic schema-1 stage object: json.dumps(indent=2) of a payload
     holding these gives the bytes the CLI must print."""
     return {
-        "detector_1": [[_reference_cell(x) for x in row] for row in stage.detectors[0].tolist()],
-        "detector_2": [[_reference_cell(x) for x in row] for row in stage.detectors[1].tolist()],
+        "detector_1": [[_reference_cell(x) for x in row] for row in stage.detectors[0]],
+        "detector_2": [[_reference_cell(x) for x in row] for row in stage.detectors[1]],
         "output_1": [_reference_cell(x) for x in stage.outputs[0].amplitudes],
         "output_2": [_reference_cell(x) for x in stage.outputs[1].amplitudes],
         "p1": stage.success.p1,
@@ -625,7 +625,7 @@ class TestSimulateCommand:
         """A stage with one NaN detector entry stops the run before any trial."""
         inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
         stages = build_chain(inst, cli._solve(inst, Strategy.JBG_OPTIMAL))
-        bad = stages[0].detectors[0].copy()
+        bad = np.array(stages[0].detectors[0])
         bad[0, 1] = math.nan
         stages[0] = dataclasses.replace(stages[0], detectors=(bad, stages[0].detectors[1]))
         monkeypatch.setattr(cli, "build_chain", lambda inst, result: stages)

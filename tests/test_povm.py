@@ -1,7 +1,10 @@
 """Detection-operator construction and POVM axioms."""
 
+import ast
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,18 +35,20 @@ from guesschain.povm import STAGE_ATOL, _amplitudes
 class TestStatePair:
     def test_identical(self):
         a, b = make_state_pair(1.0)
-        np.testing.assert_allclose(a.vector, [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(b.vector, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(a.amplitudes), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(b.amplitudes), [1.0, 0.0], atol=1e-15)
 
     def test_orthogonal(self):
         a, b = make_state_pair(0.0)
-        assert abs(np.vdot(a.vector, b.vector)) <= 1e-15
-        np.testing.assert_allclose(a.vector, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+        assert abs(np.vdot(np.array(a.amplitudes), np.array(b.amplitudes))) <= 1e-15
+        np.testing.assert_allclose(
+            np.array(a.amplitudes), [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15
+        )
 
     def test_overlap_is_exact(self):
         for overlap in np.linspace(0.0, 1.0, 101):
             a, b = make_state_pair(float(overlap))
-            assert np.vdot(a.vector, b.vector).real == pytest.approx(
+            assert np.vdot(np.array(a.amplitudes), np.array(b.amplitudes)).real == pytest.approx(
                 float(overlap), abs=1e-14
             )
 
@@ -89,11 +94,12 @@ def _feasible_stage_inputs(rng):
 class TestBuildStage:
     def test_projective_on_orthogonal_inputs(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
-        b1, b2 = stage.detectors
-        psi1, psi2 = make_state_pair(0.0)
-        np.testing.assert_allclose(b1 @ psi1.vector, stage.outputs[0].vector, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(b1 @ psi2.vector), 0.0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(b2 @ psi1.vector), 0.0, atol=1e-12)
+        b1, b2 = map(np.array, stage.detectors)
+        psi1, psi2 = (np.array(state.amplitudes) for state in make_state_pair(0.0))
+        output = np.array(stage.outputs[0].amplitudes)
+        np.testing.assert_allclose(b1 @ psi1, output, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(b1 @ psi2), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(b2 @ psi1), 0.0, atol=1e-12)
         gram = b1.conj().T @ b1 + b2.conj().T @ b2
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-14)
 
@@ -110,10 +116,10 @@ class TestBuildStage:
         for _ in range(200):
             in_overlap, success, out = _feasible_stage_inputs(rng)
             stage = build_stage(in_overlap, success, out)
-            b1, b2 = stage.detectors
-            psi1, psi2 = make_state_pair(in_overlap)
-            got1 = np.vdot(psi1.vector, (b1.conj().T @ b1) @ psi1.vector).real
-            got2 = np.vdot(psi2.vector, (b2.conj().T @ b2) @ psi2.vector).real
+            b1, b2 = map(np.array, stage.detectors)
+            psi1, psi2 = (np.array(state.amplitudes) for state in make_state_pair(in_overlap))
+            got1 = np.vdot(psi1, (b1.conj().T @ b1) @ psi1).real
+            got2 = np.vdot(psi2, (b2.conj().T @ b2) @ psi2).real
             assert got1 == pytest.approx(success.p1, abs=1e-10)
             assert got2 == pytest.approx(success.p2, abs=1e-10)
 
@@ -123,12 +129,12 @@ class TestBuildStage:
             in_overlap, success, out = _feasible_stage_inputs(rng)
             stage = build_stage(in_overlap, success, out)
             for state, expected in zip(make_state_pair(in_overlap), stage.outputs):
-                for detector in stage.detectors:
-                    image = detector @ state.vector
+                for detector in map(np.array, stage.detectors):
+                    image = detector @ np.array(state.amplitudes)
                     norm = np.linalg.norm(image)
                     if norm < 1e-8:
                         continue
-                    fidelity = abs(np.vdot(expected.vector, image / norm)) ** 2
+                    fidelity = abs(np.vdot(np.array(expected.amplitudes), image / norm)) ** 2
                     assert fidelity == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_budget_violations(self):
@@ -145,10 +151,10 @@ class TestBuildStage:
 
     def test_identical_inputs_merge_or_reject(self):
         stage = build_stage(1.0, SuccessPair(0.5, 0.5), 1.0)
-        b1, b2 = stage.detectors
+        b1, b2 = map(np.array, stage.detectors)
         gram = b1.conj().T @ b1 + b2.conj().T @ b2
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-14)
-        psi = make_state_pair(1.0)[0].vector
+        psi = np.array(make_state_pair(1.0)[0].amplitudes)
         np.testing.assert_allclose(
             np.linalg.norm(b1 @ psi), math.sqrt(0.5), atol=1e-12
         )
@@ -246,7 +252,7 @@ class TestBuildChain:
 
 
 def _completeness_defect(stage):
-    b1, b2 = stage.detectors
+    b1, b2 = map(np.array, stage.detectors)
     return float(np.max(np.abs(b1.conj().T @ b1 + b2.conj().T @ b2 - np.eye(2))))
 
 
@@ -270,11 +276,11 @@ class TestChainConditioning:
         assert len(stages) == n
         for stage in stages:
             stage.validate()
-            # float64 end to end: detectors, output amplitudes and vectors
-            assert all(det.dtype == np.float64 for det in stage.detectors)
+            # Python floats end to end: detector entries and output amplitudes
+            for det in stage.detectors:
+                assert all(type(x) is float for row in det for x in row)
             for state in stage.outputs:
                 assert all(type(x) is float for x in state.amplitudes)
-                assert state.vector.dtype == np.float64
 
     @pytest.mark.parametrize(
         "overlap, prior",
@@ -390,21 +396,22 @@ class TestStageValidation:
             in_overlap=stage.in_overlap,
             out_overlap=stage.out_overlap,
         )
-        bad = stage.detectors[0] + 1e-3j
+        bad = np.array(stage.detectors[0]) + 1e-3j
         with pytest.raises(ValueError, match="imaginary"):
             MeasurementStage(detectors=(bad, stage.detectors[1]), **fields)
         # Schema-1 [re, 0.0] pairs read back as the real stage
         read_back = MeasurementStage(
-            detectors=tuple(det + 0j for det in stage.detectors), **fields
+            detectors=tuple(np.array(det) + 0j for det in stage.detectors), **fields
         )
         for det in read_back.detectors:
-            assert det.dtype == np.float64 and not det.flags.writeable
+            assert all(type(x) is float for row in det for x in row)
+        assert read_back.detectors == stage.detectors
         read_back.validate()
 
     def test_detectors_are_read_only(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
-            stage.detectors[0][0, 0] = 5.0
+        with pytest.raises(TypeError):
+            stage.detectors[0][0][0] = 5.0
 
     def test_detectors_become_read_only_float64(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
@@ -418,16 +425,31 @@ class TestStageValidation:
         )
         expected = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]])
         for det, cells in zip(read_back.detectors, expected):
-            assert det.dtype == np.float64 and not det.flags.writeable
-            assert det.tolist() == cells
+            assert all(type(x) is float for row in det for x in row)
+            assert [list(row) for row in det] == cells
         integer[0, 0] = 7  # the stage keeps its own copy
-        assert read_back.detectors[0][0, 0] == 1.0
+        assert read_back.detectors[0][0][0] == 1.0
+
+    @pytest.mark.parametrize(
+        "detectors",
+        [
+            (np.eye(2),),
+            (np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))),
+            (np.array([1.0, 0.0, 0.0, 1.0]), np.zeros((2, 2))),
+            (np.eye(3), np.zeros((2, 2))),
+        ],
+        ids=["one detector", "three detectors", "flat length 4", "3x3"],
+    )
+    def test_stage_needs_two_2x2_detectors(self, detectors):
+        stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
+        with pytest.raises(ValueError, match="two 2x2 detectors"):
+            dataclasses.replace(stage, detectors=detectors)
 
 
 def _reference_validate(stage):
     """numpy form of ``MeasurementStage.validate``: the reference its scalar
     algebra is checked against, with the same checks, order and messages."""
-    b1, b2 = stage.detectors
+    b1, b2 = map(np.array, stage.detectors)
     gram = b1.T @ b1 + b2.T @ b2
     defect = float(np.max(np.abs(gram - np.eye(2))))
     if not defect <= STAGE_ATOL:
@@ -436,13 +458,14 @@ def _reference_validate(stage):
         eigs = np.linalg.eigvalsh(det.T @ det)
         if float(eigs.min()) < -1e-12:
             raise ValueError(f"POVM element {i} not positive: min eig {eigs.min():.3e}")
-    psi1, psi2 = make_state_pair(stage.in_overlap)
+    psi1, psi2 = (np.array(state.amplitudes) for state in make_state_pair(stage.in_overlap))
     r1, w1, r2, w2 = _amplitudes(stage.in_overlap, stage.success, stage.out_overlap)
+    v1, v2 = (np.array(state.amplitudes) for state in stage.outputs)
     expected = (
-        (b1 @ psi1.vector, r1, stage.outputs[0]),
-        (b2 @ psi1.vector, w1, stage.outputs[0]),
-        (b1 @ psi2.vector, w2, stage.outputs[1]),
-        (b2 @ psi2.vector, r2, stage.outputs[1]),
+        (b1 @ psi1, r1, v1),
+        (b2 @ psi1, w1, v1),
+        (b1 @ psi2, w2, v2),
+        (b2 @ psi2, r2, v2),
     )
     for out_vec, amplitude, target in expected:
         norm = float(np.linalg.norm(out_vec))
@@ -451,10 +474,10 @@ def _reference_validate(stage):
                 f"action amplitude mismatch: |B psi| = {norm!r}, expected {amplitude!r}"
             )
         if norm > 1e-8:
-            fid = float(np.dot(target.vector, out_vec / norm) ** 2)
+            fid = float(np.dot(target, out_vec / norm) ** 2)
             if fid < 1.0 - STAGE_ATOL:
                 raise ValueError(f"output state mismatch: fidelity {fid!r}")
-    out_overlap = abs(float(np.dot(stage.outputs[0].vector, stage.outputs[1].vector)))
+    out_overlap = abs(float(np.dot(v1, v2)))
     if not abs(out_overlap - stage.out_overlap) <= STAGE_ATOL:
         raise ValueError(
             f"output overlap {out_overlap!r} differs from declared {stage.out_overlap!r}"
@@ -511,3 +534,17 @@ class TestValidateMatchesReference:
             with np.errstate(invalid="ignore"):  # inf * 0 in the reference's matmul
                 reference = _verdict(_reference_validate, copy)
             assert _verdict(MeasurementStage.validate, copy) == reference
+
+
+@pytest.mark.parametrize("module", ("core", "povm"))
+def test_module_imports_no_numpy(module):
+    """The closed forms and the detection operators are plain-float code, so
+    a command that needs neither arrays nor the simulator need not load numpy."""
+    source = Path(importlib.import_module(f"guesschain.{module}").__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}

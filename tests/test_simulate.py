@@ -274,11 +274,11 @@ def _per_trial_walk(inst, stages, cfg):
     sent = (draws[:, 0] >= inst.prior_1).astype(np.int8)
     counts = (trials - int(sent.sum()), int(sent.sum()))
     pair = make_state_pair(inst.overlap)
-    current = np.stack([pair[0].vector, pair[1].vector])[sent]
+    current = np.array([pair[0].amplitudes, pair[1].amplitudes])[sent]
     all_correct = np.ones(trials, dtype=bool)
     per_receiver = []
     for k, stage in enumerate(stages):
-        out1, out2 = (current @ b.T for b in stage.detectors)
+        out1, out2 = (current @ b.T for b in map(np.array, stage.detectors))
         q1 = np.clip(np.einsum("ij,ij->i", out1, out1), 0.0, 1.0)
         q2 = np.clip(np.einsum("ij,ij->i", out2, out2), 0.0, 1.0)
         guess = (draws[:, k + 1] >= q1).astype(np.int8)
@@ -309,10 +309,10 @@ def _where_tally(inst, stages, cfg):
     n = inst.n_receivers
     trials = cfg.trials
     pair = make_state_pair(inst.overlap)
-    current = np.stack([pair[0].vector, pair[1].vector])
+    current = np.array([pair[0].amplitudes, pair[1].amplitudes])
     q1 = np.empty((n, 2))
     for k, stage in enumerate(stages):
-        out = [current @ b.T for b in stage.detectors]
+        out = [current @ b.T for b in map(np.array, stage.detectors)]
         q = [np.einsum("ij,ij->i", o, o) for o in out]
         if min(q[0].min(), q[1].min()) < simulate.UNDERFLOW_SLACK:
             raise NumericalUnderflow(f"stage {k + 1}: negative outcome probability beyond slack")
@@ -539,7 +539,7 @@ class TestBrokenStagesAreCaught:
     def test_incomplete_povm_raises(self, trials):
         inst, _, stages = _chain(0.5, 0.5, 2)
         scaled = dataclasses.replace(
-            stages[0], detectors=(stages[0].detectors[0] * 0.9, stages[0].detectors[1])
+            stages[0], detectors=(np.array(stages[0].detectors[0]) * 0.9, stages[0].detectors[1])
         )
         for tampered in (scaled, _tamper(stages[0], 0, 1, 1e-3)):
             with pytest.raises(NumericalUnderflow, match="stage 1: outcome probabilities sum to 1"):
