@@ -91,9 +91,12 @@ def _real_floats(values, what: str) -> tuple[float, ...]:
 
     float(x.real) keeps the sign bits of -0.0 and NaN.
     """
-    if any(x.imag for x in values):  # NaN counts as nonzero
-        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
-    return tuple(float(x.real) for x in values)
+    try:
+        if any(x.imag for x in values):  # NaN counts as nonzero
+            raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+        return tuple(float(x.real) for x in values)
+    except (AttributeError, TypeError):  # an entry that is no number, or an array
+        raise ValueError(f"{what} must be real numbers, got {values!r}") from None
 
 
 def make_state_pair(overlap: float) -> tuple[QubitState, QubitState]:

@@ -445,6 +445,14 @@ class TestStageValidation:
         with pytest.raises(ValueError, match="two 2x2 detectors"):
             dataclasses.replace(stage, detectors=detectors)
 
+    def test_entries_must_be_numbers(self):
+        stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
+        for detectors in ((np.ones((2, 2, 1)), np.eye(2)), ((("a", 0.0), (0.0, 1.0)), np.eye(2))):
+            with pytest.raises(ValueError, match="detectors must be real numbers"):
+                dataclasses.replace(stage, detectors=detectors)
+        with pytest.raises(ValueError, match="amplitudes must be real numbers"):
+            QubitState((None, 1.0))
+
 
 def _reference_validate(stage):
     """numpy form of ``MeasurementStage.validate``: the reference its scalar
