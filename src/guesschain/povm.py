@@ -87,16 +87,17 @@ class QubitState:
 
 
 def _real_floats(values, what: str) -> tuple[float, ...]:
-    """``values`` as Python floats, rejecting a nonzero imaginary part.
-
-    float(x.real) keeps the sign bits of -0.0 and NaN.
-    """
+    """``values`` as Python floats, rejecting a nonzero imaginary part and any
+    entry with a shape: an array, even of one element, which float() converts
+    in older array libraries only. float(x.real) keeps the sign bits of -0.0 and NaN."""
     try:
-        if any(x.imag for x in values):  # NaN counts as nonzero
-            raise ValueError(f"{what} must be real, got a nonzero imaginary part")
-        return tuple(float(x.real) for x in values)
-    except (AttributeError, TypeError):  # an entry that is no number, or an array
-        raise ValueError(f"{what} must be real numbers, got {values!r}") from None
+        if not any(getattr(x, "shape", ()) for x in values):
+            if any(x.imag for x in values):  # NaN counts as nonzero
+                raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+            return tuple(float(x.real) for x in values)
+    except (AttributeError, TypeError):  # an entry that is no number
+        pass
+    raise ValueError(f"{what} must be real numbers, got {values!r}")
 
 
 def make_state_pair(overlap: float) -> tuple[QubitState, QubitState]:
@@ -119,8 +120,7 @@ def _half_angle(overlap: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeasurementStage:
-    """One receiver's detection operators plus the pure output pair. B1 and B2
-    may be given as any real 2x2 input; each is kept as ((a, b), (c, d))."""
+    """One receiver's detectors B1, B2, kept as ((a, b), (c, d)), plus its outputs."""
 
     detectors: tuple[tuple[tuple[float, float], ...], ...]
     outputs: tuple[QubitState, QubitState]

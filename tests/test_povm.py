@@ -447,7 +447,23 @@ class TestStageValidation:
 
     def test_entries_must_be_numbers(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
-        for detectors in ((np.ones((2, 2, 1)), np.eye(2)), ((("a", 0.0), (0.0, 1.0)), np.eye(2))):
+
+        class OneElementArray:
+            """A length-1 array as numpy before 2.4 treats it: float() of it works."""
+
+            shape, real, imag = (1,), 1.0, 0.0
+
+            def __float__(self):
+                return 1.0
+
+        one = OneElementArray()
+        # the 2x2x1 array must be rejected on every numpy pyproject.toml admits,
+        # 1.24 included, where float() of each of its one-element rows succeeds
+        for detectors in (
+            (np.ones((2, 2, 1)), np.eye(2)),
+            (((one, one), (one, one)), np.eye(2)),
+            ((("a", 0.0), (0.0, 1.0)), np.eye(2)),
+        ):
             with pytest.raises(ValueError, match="detectors must be real numbers"):
                 dataclasses.replace(stage, detectors=detectors)
         with pytest.raises(ValueError, match="amplitudes must be real numbers"):
