@@ -25,6 +25,10 @@ The runs, in this order:
   81x81 ``--variable both`` grid, a 101-point prior sweep at overlap 0.77 and
   101-point overlap sweeps at priors 0.5 and 0.3; then a ``--points 1`` usage
   error and a 7x101 grid at N = 3;
+- sweep errors and edges: an overlap of 1.5 and one of nan on a prior sweep,
+  a prior of -0.1 on an overlap sweep and ``--receivers 0``; 2x2 grids with
+  both axes exactly [0, 1] at N = 1 and 200; a grid with ``--start`` equal to
+  ``--stop``; and a strategy list with a repeat;
 - the benchmark's surface-sweep rounds for seeds 1-20
   (``perfbench/workloads.py``);
 - ``optimize``, without and with ``--emit-stages``, for all four strategies
@@ -75,6 +79,18 @@ def corpus() -> list[list[str]]:
     runs.append(
         sweep + ["--receivers", "3", "--variable", "both", "--points", "7", "--prior-points", "101"]
     )
+    runs += [
+        sweep + ["--receivers", "2", "--variable", "prior", "--overlap", "1.5"],
+        sweep + ["--receivers", "2", "--variable", "overlap", "--prior", "-0.1"],
+        sweep + ["--receivers", "0", "--variable", "both", "--points", "3", "--prior-points", "3"],
+        sweep + ["--receivers", "2", "--variable", "prior", "--overlap", "nan"],
+        sweep + ["--receivers", "1", "--variable", "both", "--points", "2", "--prior-points", "2"],
+        sweep + ["--receivers", "200", "--variable", "both", "--points", "2", "--prior-points", "2"],
+        sweep + ["--receivers", "3", "--variable", "both", "--start", "0.3", "--stop", "0.3",
+                 "--points", "4", "--prior-points", "5"],
+        ["sweep", "--strategies", "BOUNDARY,JBG_OPTIMAL,BOUNDARY", "--out", OUT_PLACEHOLDER,
+         "--receivers", "8", "--variable", "both", "--points", "9", "--prior-points", "7"],
+    ]
     for seed in range(1, 21):
         runs += [list(op.argv) for op in make_round("surface-sweep", seed)]
     grid = [
