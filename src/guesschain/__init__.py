@@ -21,11 +21,11 @@ from .core import (
 )
 from .optimize import (
     FullChainSolution,
+    SweepGrid,
     find_sb,
     grid_search_oracle,
     optimize_full_chain,
     optimize_reduced,
-    optimize_reduced_column,
 )
 from .povm import (
     DegenerateInput,
@@ -60,6 +60,7 @@ __all__ = [
     "Strategy",
     "StrategyResult",
     "SuccessPair",
+    "SweepGrid",
     "boundary_point",
     "boundary_solution",
     "build_chain",
@@ -75,7 +76,6 @@ __all__ = [
     "make_state_pair",
     "optimize_full_chain",
     "optimize_reduced",
-    "optimize_reduced_column",
     "overlap_ladder",
     "p2_from_p1",
     "run_chain_simulation",

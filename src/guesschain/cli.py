@@ -41,14 +41,12 @@ from .core import (
     DiscriminationInstance,
     Strategy,
     StrategyResult,
-    boundary_point,
     boundary_solution,
     equal_prior_jbg,
-    greedy_point,
     individual_greedy,
     symmetric_point,
 )
-from .optimize import find_sb, optimize_reduced, optimize_reduced_column
+from .optimize import SweepGrid, find_sb, optimize_reduced
 from .povm import MeasurementStage, build_chain
 from .simulate import NumericalUnderflow, SimConfig, run_chain_simulation
 
@@ -207,6 +205,53 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep_rows(
+    overlaps: list[float],
+    priors: list[float],
+    n: int,
+    coords: tuple[str, ...],
+    strategies: list[Strategy],
+) -> list[str]:
+    """The CSV rows of a sweep over overlaps x priors, row-major: the
+    coordinates named in ``coords``, then each strategy's joint, p1 and p2.
+
+    Every cell is a Python float's repr, its shortest round-trip text, and
+    equals the first stage and joint of ``_solve`` for that instance. A value
+    shared by a whole row or column (a coordinate, the symmetric p, the
+    boundary q, the pinned 1.0) is formatted once, and a repeated strategy
+    is solved once.
+    """
+    grid = SweepGrid(overlaps, priors, n)
+    rows, cols = grid.shape
+
+    def per_point(values) -> list[str]:
+        return list(map(repr, values.ravel().tolist()))
+
+    def per_row(texts) -> list[str]:
+        return list(itertools.chain.from_iterable(map(itertools.repeat, texts, [cols] * rows)))
+
+    columns: dict[Strategy, list[list[str]]] = {}
+    for strategy in dict.fromkeys(strategies):  # a repeated strategy is solved once
+        if strategy is Strategy.JBG_SYMMETRIC_ANALYTIC:
+            p, joint = grid.symmetric()
+            columns[strategy] = [per_point(joint), per_row(f"{t},{t}" for t in per_point(p))]
+        elif strategy is Strategy.BOUNDARY:
+            q, pin1, joint = grid.boundary()
+            # (q, 1.0) where p2 is pinned, (1.0, q) where p1 is
+            choices = [(f"{t},1.0", f"1.0,{t}") for t in per_point(q)]
+            pairs = [pair[pin] for pair, pins in zip(choices, pin1.tolist()) for pin in pins]
+            columns[strategy] = [per_point(joint), pairs]
+        else:
+            solve = grid.optimal if strategy is Strategy.JBG_OPTIMAL else grid.greedy
+            p1, p2, joint = solve()
+            columns[strategy] = [per_point(joint), per_point(p1), per_point(p2)]
+    axes = {"overlap": per_row(map(repr, overlaps)), "prior_1": list(map(repr, priors)) * rows}
+    table = [axes[name] for name in coords]
+    for strategy in strategies:
+        table += columns[strategy]
+    return list(map(",".join, zip(*table)))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     strategies = [_parse_strategy(name) for name in args.strategies.split(",") if name]
     if not strategies:
@@ -233,42 +278,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("--prior-start/--prior-stop must lie in [0, 1]")
         overlaps = grid(args.start, args.stop, args.points)
         priors = grid(args.prior_start, args.prior_stop, args.prior_points)
-    insts = [  # row-major
-        DiscriminationInstance(overlap, prior, n_receivers=args.receivers)
-        for overlap in overlaps
-        for prior in priors
-    ]
-
-    columns = {"overlap": ("overlap",), "prior": ("prior_1",), "both": ("overlap", "prior_1")}
-    coords = columns[args.variable]
-    header = list(coords)
+    coords = {"overlap": ("overlap",), "prior": ("prior_1",), "both": ("overlap", "prior_1")}
+    header = list(coords[args.variable])
     for strategy in strategies:
         prefix = strategy.name.lower()
         header += [f"{prefix}_joint_success", f"{prefix}_p1", f"{prefix}_p2"]
-
-    # Each column equals the first stage and the joint of _solve, cell for
-    # cell: one batched bisection for JBG_OPTIMAL, bit-identical to
-    # optimize_reduced, and the closed forms point by point.
-    closed_form = {
-        Strategy.JBG_SYMMETRIC_ANALYTIC: symmetric_point,
-        Strategy.INDIVIDUAL_GREEDY: greedy_point,
-        Strategy.BOUNDARY: boundary_point,
-    }
-    # Every cell is a Python float, so repr gives its shortest round-trip text.
-    rows = [[repr(getattr(inst, name)) for name in coords] for inst in insts]
-    for strategy in strategies:
-        if strategy is Strategy.JBG_OPTIMAL:
-            column = optimize_reduced_column(insts)
-        else:
-            column = map(closed_form[strategy], insts)
-        for row, (p1, p2, joint) in zip(rows, column):
-            row += [repr(joint), repr(p1), repr(p2)]
+    rows = _sweep_rows(overlaps, priors, args.receivers, coords[args.variable], strategies)
 
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(row) + "\n")
+            handle.write("\n".join([",".join(header), *rows]) + "\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -28,7 +28,7 @@ stationarity residual, the equal-prior symmetric solution, the per-receiver
 greedy (Helstrom) strategy, and the pinned boundary strategies. Each of the
 last three has a ``*_point`` function that returns one instance's
 ``(p1, p2, joint)``; its ``StrategyResult`` builder wraps that function, and a
-sweep calls it directly. Everything is a pure function of its arguments
+sweep's array columns (``optimize.SweepGrid``) equal it bit for bit. Everything is a pure function of its arguments
 (thread-safe by statelessness) in float64.
 """
 
@@ -223,6 +223,13 @@ def _symmetric_p(s: float, n: int) -> float:
     return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - s ** (2.0 / n))))
 
 
+def _symmetric_terms(s: float, n: int) -> tuple[float, float]:
+    """The symmetric p and the product of the N stage probabilities, taken
+    in chain order."""
+    p = _symmetric_p(s, n)
+    return p, math.prod(itertools.repeat(p, n))
+
+
 def equal_prior_jbg(s: float, n: int) -> StrategyResult:
     """Symmetric equal-prior solution p1 = p2 = (1 + sqrt(1 - s**(2/N))) / 2.
 
@@ -248,8 +255,7 @@ def symmetric_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
     probabilities taken in chain order, so it equals
     ``equal_prior_jbg(s, N).recompute_joint(eta1, eta2)`` bit for bit.
     """
-    p = _symmetric_p(inst.overlap, inst.n_receivers)
-    product = math.prod(itertools.repeat(p, inst.n_receivers))
+    p, product = _symmetric_terms(inst.overlap, inst.n_receivers)
     return p, p, inst.prior_1 * product + inst.prior_2 * product
 
 
@@ -309,13 +315,18 @@ def boundary_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
     mirrored for p1 = 1), giving joint successes eta1 * q**N + eta2 and
     eta1 + eta2 * q**N. Ties (equal priors) resolve to the p2 = 1 branch.
     """
-    n = inst.n_receivers
-    q = 1.0 - inst.overlap ** (2.0 / n)
-    joint_pin2 = inst.prior_1 * q**n + inst.prior_2
-    joint_pin1 = inst.prior_1 + inst.prior_2 * q**n
+    q, q_n = _boundary_terms(inst.overlap, inst.n_receivers)
+    joint_pin2 = inst.prior_1 * q_n + inst.prior_2
+    joint_pin1 = inst.prior_1 + inst.prior_2 * q_n
     if joint_pin1 > joint_pin2:
         return 1.0, q, joint_pin1
     return q, 1.0, joint_pin2
+
+
+def _boundary_terms(s: float, n: int) -> tuple[float, float]:
+    """The pinned probability q = 1 - s**(2/N) and q**N."""
+    q = 1.0 - s ** (2.0 / n)
+    return q, q**n
 
 
 def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:

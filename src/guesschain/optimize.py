@@ -45,8 +45,9 @@ little machinery with it as possible.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -55,7 +56,9 @@ from .core import (
     Strategy,
     StrategyResult,
     SuccessPair,
+    _boundary_terms,
     _symmetric_p,
+    _symmetric_terms,
     helstrom_success_pair,
     overlap_ladder,
     p2_from_p1,
@@ -63,11 +66,11 @@ from .core import (
 
 __all__ = [
     "FullChainSolution",
+    "SweepGrid",
     "find_sb",
     "grid_search_oracle",
     "optimize_full_chain",
     "optimize_reduced",
-    "optimize_reduced_column",
 ]
 
 
@@ -150,56 +153,146 @@ def _finish_reduced(
     return p1, p2, eta1 * p1**n + eta2 * p2**n
 
 
-def _libm_pow(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+def _pow(values: Iterable[float], exponent: int, count: int) -> np.ndarray:
     # Python's float ** int calls the C library's pow, as math.pow does;
     # np.power rounds differently on some inputs.
-    return np.fromiter(map(math.pow, x.tolist(), exponents.tolist()), float, x.size)
+    return np.fromiter(map(math.pow, values, repeat(exponent)), float, count)
 
 
-def optimize_reduced_column(
-    insts: Sequence[DiscriminationInstance],
-) -> list[tuple[float, float, float]]:
-    """``optimize_reduced``'s (p1, p2, joint) for every instance, bit for bit.
+def _bisect(phi: np.ndarray, eta1: np.ndarray, eta2: np.ndarray, n: int) -> np.ndarray:
+    """``_solve_reduced``'s bisected theta at every point of flat arrays
+    (eta1 >= eta2), bit for bit, whatever numpy's cos, sin and power round to.
 
-    Runs the same ``BISECTION_STEPS`` halvings for all instances at once on
-    arrays, with the residual in ``core.theta_residual``'s operation order,
-    then finishes each instance through the scalar code. Bit identity needs
-    np.cos and np.sin to round as the C library does. phi comes from
-    math.asin, because np.arcsin rounds differently. The powers come from
-    np.power, except where its rounding could change a step's decision;
-    there they come from math.pow. A sweep solves its JBG_OPTIMAL column
-    this way; one instance is faster through ``optimize_reduced``.
+    The residual keeps ``core.theta_residual``'s operation order, and its
+    sign test a - b < 0 is written a < b as in the scalar loop. np.cos,
+    np.sin and np.power are within a few ulp of the C library, so their
+    rounding can flip a < b only where a and b agree to 1e-12 or lie near
+    underflow; there both are recomputed with math, as the scalar loop does.
     """
-    n = [inst.n_receivers for inst in insts]
-    s_eff = [inst.effective_overlap for inst in insts]
-    eta1 = [max(inst.prior_1, inst.prior_2) for inst in insts]
-    eta2 = [min(inst.prior_1, inst.prior_2) for inst in insts]
-    phi = [math.asin(s) for s in s_eff]
-    a_phi, a_eta1, a_eta2 = np.array(phi), np.array(eta1), np.array(eta2)
-    a_exp = 2.0 * np.array(n, dtype=float) - 1.0
-    lo, hi = np.zeros(len(insts)), 0.5 * a_phi
+    e = 2 * n - 1
+    lo, hi = np.zeros(phi.size), 0.5 * phi
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        rest = a_phi - mid
-        c1, s1, c2, s2 = np.cos(mid), np.sin(mid), np.cos(rest), np.sin(rest)
-        # The residual a - b is below 0 exactly when a < b. np.power is within
-        # a few ulp of the C library's pow, so its rounding can flip a < b
-        # only where a and b agree to 1e-12 or lie near underflow; there both
-        # are recomputed with libm.
-        a = a_eta1 * c1**a_exp * s1
-        b = a_eta2 * c2**a_exp * s2
+        rest = phi - mid
+        a = eta1 * np.cos(mid) ** e * np.sin(mid)
+        b = eta2 * np.cos(rest) ** e * np.sin(rest)
         near = np.flatnonzero(np.abs(a - b) <= 1e-12 * (a + b) + 1e-300)
         if near.size:
-            a[near] = a_eta1[near] * _libm_pow(c1[near], a_exp[near]) * s1[near]
-            b[near] = a_eta2[near] * _libm_pow(c2[near], a_exp[near]) * s2[near]
+            for terms, eta, x in ((a, eta1, mid), (b, eta2, rest)):
+                x = x[near].tolist()
+                sin = np.fromiter(map(math.sin, x), float, near.size)
+                terms[near] = eta[near] * _pow(map(math.cos, x), e, near.size) * sin
         below = a < b
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    column = []
-    for inst, theta, *args in zip(insts, (0.5 * (lo + hi)).tolist(), phi, s_eff, n, eta1, eta2):
-        p1, p2, joint = _finish_reduced(theta, *args)
-        column.append((p1, p2, joint) if inst.prior_1 >= inst.prior_2 else (p2, p1, joint))
-    return column
+    return 0.5 * (lo + hi)
+
+
+class SweepGrid:
+    """A sweep's grid, every overlap crossed with every prior at chain length
+    ``n``, solved on arrays.
+
+    Each method returns one strategy's cells as arrays indexed [i, j] for the
+    instance ``DiscriminationInstance(overlaps[i], priors[j], n_receivers=n)``,
+    equal bit for bit to the scalar reference there: ``optimal`` to the first
+    stage and joint of ``optimize_reduced``, ``symmetric``, ``greedy`` and
+    ``boundary`` to ``symmetric_point``, ``greedy_point`` and
+    ``boundary_point``. Values that depend on the overlap alone (s_eff, phi,
+    the symmetric p, the boundary q, the phi/2 candidate) are computed once
+    per row with the scalar code. The rest follows the scalar operation
+    order on arrays: every cos, sin and power that reaches a cell comes from
+    the C library, as math gives it, and numpy computes only + - * /, sqrt
+    and comparisons, which IEEE 754 rounds correctly (the bisection's own
+    rule is in ``_bisect``). The axes are validated once, with the messages
+    and in the order that building each point's instance would give.
+    """
+
+    def __init__(self, overlaps: Sequence[float], priors: Sequence[float], n: int) -> None:
+        if not overlaps or not priors:
+            raise ValueError("a sweep grid needs at least one overlap and one prior")
+        # The instances of row 0 and column 0 check every axis value with the
+        # instance's own messages. In row-major order the first point that
+        # fails is the corner, else the first bad prior of row 0, else the
+        # first bad overlap of column 0: the order these are built in.
+        row = [DiscriminationInstance(overlaps[0], prior, n_receivers=n) for prior in priors]
+        column = row[:1] + [DiscriminationInstance(s, priors[0], n_receivers=n) for s in overlaps[1:]]
+        self.n = n
+        self.shape = (len(column), len(row))
+        self._overlaps = [inst.overlap for inst in column]
+        self._s_eff = [inst.effective_overlap for inst in column]
+        self._prior_1 = np.array([[inst.prior_1 for inst in row]])
+        self._prior_2 = np.array([[inst.prior_2 for inst in row]])
+
+    def _powers(self, p: np.ndarray) -> np.ndarray:
+        """p**n of every cell, as the scalar code's float ** int gives it."""
+        return _pow(p.ravel().tolist(), self.n, p.size).reshape(p.shape)
+
+    def optimal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p1, p2, joint) of ``optimize_reduced``: its stage pair and joint."""
+        n, (rows, cols) = self.n, self.shape
+        # optimize_reduced solves with the likelier prior as eta1 and mirrors back.
+        mirror = self._prior_1 < self._prior_2
+        eta1 = np.where(mirror, self._prior_2, self._prior_1)
+        eta2 = np.where(mirror, self._prior_1, self._prior_2)
+        phi = [math.asin(s) for s in self._s_eff]
+        s_eff = np.array(self._s_eff)[:, None]
+        theta = _bisect(np.repeat(phi, cols), np.tile(eta1[0], rows), np.tile(eta2[0], rows), n)
+        # _finish_reduced: p1 = cos(theta)**2 and p2 = p2_from_p1(p1, s_eff)
+        # at the bisected point, against phi/2 (one per row), then the swap.
+        p1 = _pow(map(math.cos, theta.tolist()), 2, theta.size).reshape(rows, cols)
+        root = s_eff * np.sqrt(1.0 - p1) + np.sqrt(p1 * (1.0 - s_eff * s_eff))
+        p2 = np.minimum(root * root, 1.0)
+        pow1, pow2 = self._powers(p1), self._powers(p2)
+        half = []
+        for x, s in zip(phi, self._s_eff):
+            p1_half = math.cos(0.5 * x) ** 2
+            p2_half = p2_from_p1(p1_half, s)
+            half.append((p1_half, p2_half, p1_half**n, p2_half**n))
+        h1, h2, hpow1, hpow2 = np.array(half).T[:, :, None]
+        equal_rule = np.array([[_symmetric_is_optimal(x, n, 0.5, 0.5)] for x in phi])
+        at_half = (equal_rule & (eta1 == eta2)) | (
+            eta1 * hpow1 + eta2 * hpow2 >= eta1 * pow1 + eta2 * pow2
+        )
+        p1, p2 = np.where(at_half, h1, p1), np.where(at_half, h2, p2)
+        pow1, pow2 = np.where(at_half, hpow1, pow1), np.where(at_half, hpow2, pow2)
+        swap = p1 < p2
+        p1, p2 = np.where(swap, p2, p1), np.where(swap, p1, p2)
+        pow1, pow2 = np.where(swap, pow2, pow1), np.where(swap, pow1, pow2)
+        joint = eta1 * pow1 + eta2 * pow2
+        return np.where(mirror, p2, p1), np.where(mirror, p1, p2), joint
+
+    def symmetric(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, joint) of ``symmetric_point``, whose p1 and p2 are both p; p
+        has one value per row, shape (rows, 1)."""
+        p, product = np.array([_symmetric_terms(s, self.n) for s in self._overlaps]).T[:, :, None]
+        return p, self._prior_1 * product + self._prior_2 * product
+
+    def greedy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p1, p2, joint) of ``greedy_point``: the Helstrom pair at s_eff."""
+        eta1, eta2 = self._prior_1, self._prior_2
+        s_eff = np.array(self._s_eff)[:, None]
+        # helstrom_success_pair; a row at s_eff = 1 is a pure guess, so its
+        # square is replaced by 0 in the formula (a root of 1 in place of a
+        # possible 0/0) and its pair is set below.
+        guess = s_eff == 1.0
+        s2 = np.where(guess, 0.0, s_eff * s_eff)
+        root = np.sqrt(1.0 - 4.0 * eta1 * eta2 * s2)
+        p1 = np.minimum(np.maximum(0.5 * (1.0 + (1.0 - 2.0 * eta2 * s2) / root), 0.0), 1.0)
+        p2 = np.minimum(np.maximum(0.5 * (1.0 + (1.0 - 2.0 * eta1 * s2) / root), 0.0), 1.0)
+        tie, first = eta1 == eta2, eta1 > eta2
+        p1 = np.where(guess, np.where(tie, 0.5, np.where(first, 1.0, 0.0)), p1)
+        p2 = np.where(guess, np.where(tie, 0.5, np.where(first, 0.0, 1.0)), p2)
+        return p1, p2, eta1 * self._powers(p1) + eta2 * self._powers(p2)
+
+    def boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, pin1, joint) of ``boundary_point``: its pair is (1.0, q) where
+        pin1 is True and (q, 1.0) elsewhere; q has one value per row, shape
+        (rows, 1)."""
+        q, q_n = np.array([_boundary_terms(s, self.n) for s in self._overlaps]).T[:, :, None]
+        joint_pin2 = self._prior_1 * q_n + self._prior_2
+        joint_pin1 = self._prior_1 + self._prior_2 * q_n
+        pin1 = joint_pin1 > joint_pin2
+        return q, pin1, np.where(pin1, joint_pin1, joint_pin2)
 
 
 def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:

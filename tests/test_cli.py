@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,13 @@ from guesschain import (
     Strategy,
     StrategyResult,
     SuccessPair,
+    boundary_point,
     build_chain,
     cli,
     distinguishability,
+    greedy_point,
+    optimize_reduced,
+    symmetric_point,
 )
 from guesschain.cli import main
 
@@ -431,6 +436,30 @@ class TestOptimizeCommand:
         assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def _optimal_point(inst):
+    result = optimize_reduced(inst)
+    return (*result.stages[0], result.joint_success)
+
+
+# (p1, p2, joint) of one instance: the reference each sweep column must equal.
+SCALAR_REFERENCE = {
+    Strategy.JBG_OPTIMAL: _optimal_point,
+    Strategy.JBG_SYMMETRIC_ANALYTIC: symmetric_point,
+    Strategy.INDIVIDUAL_GREEDY: greedy_point,
+    Strategy.BOUNDARY: boundary_point,
+}
+# Sweep axes: any values in [0, 1], with 0, -0.0, 1, 1/2, subnormals and
+# values just inside the ends drawn often.
+SWEEP_AXIS = st.lists(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from((0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310, 1e-300, 1.0 - 2**-53, 2**-1074 * 3)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
 class TestSweepCommand:
     RECIPE = [
         "sweep", "--variable", "prior", "--points", "101", "--overlap", "0.5",
@@ -543,6 +572,44 @@ class TestSweepCommand:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        overlaps=SWEEP_AXIS,
+        priors=SWEEP_AXIS,
+        n=st.sampled_from((1, 2, 3, 8, 32, 200)),
+        strategies=st.lists(st.sampled_from(list(Strategy)), min_size=1, max_size=6),
+    )
+    def test_every_cell_equals_its_scalar_reference(self, overlaps, priors, n, strategies):
+        """Each strategy's cells, in any order and with repeats, equal the
+        scalar reference's (joint, p1, p2) by float.hex, which keeps -0.0
+        apart from 0.0."""
+        rows = cli._sweep_rows(overlaps, priors, n, ("overlap", "prior_1"), strategies)
+        expected = []
+        for s in overlaps:
+            for prior in priors:
+                inst = DiscriminationInstance(s, prior, n_receivers=n)
+                cells = [s, prior]
+                for strategy in strategies:
+                    p1, p2, joint = SCALAR_REFERENCE[strategy](inst)
+                    cells += [joint, p1, p2]
+                expected.append([x.hex() for x in cells])
+        assert [[float(t).hex() for t in row.split(",")] for row in rows] == expected
+
+    @pytest.mark.parametrize("n", (1, 200))
+    def test_no_numpy_warning_escapes(self, n, tmp_path):
+        """The grid holds overlaps 0 and 1 and priors 0, 1/2 and 1: at overlap 1
+        and equal priors the Helstrom root is 0."""
+        out = tmp_path / "edges.csv"
+        argv = [
+            "sweep", "--variable", "both", "--points", "3", "--prior-points", "3",
+            "--receivers", str(n), "--strategies", ",".join(s.name for s in Strategy),
+            "--out", str(out),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 3 * 3
 
     def test_unwritable_output_exits_3(self):
         code = main(

@@ -1,5 +1,6 @@
 """Optimizer and the independent brute-force oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from guesschain import (
     DiscriminationInstance,
     Strategy,
+    SweepGrid,
     boundary_solution,
     distinguishability,
     equal_prior_jbg,
@@ -18,7 +20,6 @@ from guesschain import (
     individual_greedy,
     optimize_full_chain,
     optimize_reduced,
-    optimize_reduced_column,
 )
 from guesschain.core import p2_from_p1, theta_residual
 from guesschain.optimize import BISECTION_STEPS, CANDIDATE_TOLERANCE, _solve_reduced
@@ -45,6 +46,12 @@ EXTREME_OVERLAPS = st.one_of(
     st.floats(-30.0, -6.0).map(lambda e: 10.0**e),
     st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
     st.sampled_from((0.0, 1.0)),
+)
+# Sweep axis values, valid or not: the edges of [0, 1], values just outside
+# it, NaN and the infinities.
+AXIS_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from((-0.0, -0.1, 1.5, 1.0 + 1e-15, -1e-300, math.nan, math.inf, -math.inf)),
 )
 # Chain lengths 1..200, weighted to short chains, where n * phi**2 gets smallest.
 RECEIVERS = st.one_of(st.integers(1, 8), st.integers(1, 200))
@@ -268,28 +275,106 @@ POWER_SENSITIVE = (
 )
 
 
-class TestOptimizeReducedColumn:
-    # Priors mixed within one column, so that a wrong elementwise mirror or
-    # mask shows up; the overlaps include the edges where g is flat to rounding.
+@functools.cache
+def _grid81_singles(n):
+    """float.hex of optimize_reduced's (p1, p2, joint) at every GRID81 x GRID81
+    point, row-major."""
+    return [
+        _hexes(*result.stages[0], result.joint_success)
+        for result in (
+            optimize_reduced(DiscriminationInstance(s, prior, n_receivers=n))
+            for s in GRID81
+            for prior in GRID81
+        )
+    ]
+
+
+def _hexes(*values):
+    return tuple(float(x).hex() for x in values)
+
+
+def _grid_hexes(p1, p2, joint):
+    return list(map(_hexes, p1.ravel(), p2.ravel(), joint.ravel()))
+
+
+def _off_by_ulps(fn, rng):
+    """fn with each result moved by 1 or 2 ulp up or down, drawn per element."""
+
+    def perturbed(x):
+        y = fn(x)
+        k = rng.choice([-2, -1, 1, 2], size=np.shape(y))
+        for step in (1, 2):
+            y = np.where(np.abs(k) >= step, np.nextafter(y, k * np.inf), y)
+        return y
+
+    return perturbed
+
+
+class TestSweepGridOptimal:
+    # Priors mixed within a row and overlaps within a column, so that a wrong
+    # elementwise mirror or mask shows up; the overlaps include the edges
+    # where g is flat to rounding. float.hex keeps -0.0 apart from 0.0.
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @example(n=2, column=[(GRID81[i], GRID81[j]) for i, j in POWER_SENSITIVE])
+    @example(
+        n=2,
+        overlaps=[GRID81[i] for i, _ in POWER_SENSITIVE],
+        priors=[GRID81[j] for _, j in POWER_SENSITIVE],
+    )
+    # here cos(theta*) ** 2 and cos(theta*) * cos(theta*) differ in the last bit
+    @example(n=8, overlaps=[1.5599758488330027e-07], priors=[0.41769519813010114])
     @given(
         n=RECEIVERS,
-        column=st.lists(
-            st.tuples(st.one_of(OVERLAPS, EXTREME_OVERLAPS), PRIORS), min_size=1, max_size=64
-        ),
+        overlaps=st.lists(st.one_of(OVERLAPS, EXTREME_OVERLAPS), min_size=1, max_size=8),
+        priors=st.lists(PRIORS, min_size=1, max_size=8),
     )
-    def test_bit_identical_to_single_solves(self, n, column):
-        insts = [DiscriminationInstance(s, prior, n_receivers=n) for s, prior in column]
-        for inst, batched in zip(insts, optimize_reduced_column(insts), strict=True):
-            single = optimize_reduced(inst)
-            assert batched == (*single.stages[0], single.joint_success)
+    def test_bit_identical_to_single_solves(self, n, overlaps, priors):
+        got = _grid_hexes(*SweepGrid(overlaps, priors, n).optimal())
+        singles = [
+            optimize_reduced(DiscriminationInstance(s, prior, n_receivers=n))
+            for s in overlaps
+            for prior in priors
+        ]
+        assert got == [_hexes(*r.stages[0], r.joint_success) for r in singles]
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_sweep_grid_bit_identical_to_single_solves(self, n):
-        insts = [DiscriminationInstance(s, prior, n_receivers=n) for s in GRID81 for prior in GRID81]
-        singles = [optimize_reduced(inst) for inst in insts]
-        assert optimize_reduced_column(insts) == [(*r.stages[0], r.joint_success) for r in singles]
+        assert _grid_hexes(*SweepGrid(GRID81, GRID81, n).optimal()) == _grid81_singles(n)
+
+    @pytest.mark.parametrize("n", (2, 3, 8, 200))
+    def test_bits_do_not_depend_on_numpy_cos_and_sin(self, n, monkeypatch):
+        """The bisection decides every step as the C library's cos and sin
+        would, even where np.cos and np.sin round 1-2 ulp away from them."""
+        rng = np.random.default_rng(n)
+        monkeypatch.setattr(np, "cos", _off_by_ulps(np.cos, rng))
+        monkeypatch.setattr(np, "sin", _off_by_ulps(np.sin, rng))
+        assert _grid_hexes(*SweepGrid(GRID81, GRID81, n).optimal()) == _grid81_singles(n)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        overlaps=st.lists(AXIS_VALUES, min_size=1, max_size=4),
+        priors=st.lists(AXIS_VALUES, min_size=1, max_size=4),
+        n=st.integers(-1, 3),
+    )
+    def test_axes_raise_the_first_error_in_row_major_order(self, overlaps, priors, n):
+        """The grid raises what building each point's instance in row-major
+        order would raise first, or nothing when every point is valid."""
+        expected = None
+        try:
+            for s in overlaps:
+                for prior in priors:
+                    DiscriminationInstance(s, prior, n_receivers=n)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            SweepGrid(overlaps, priors, n)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_empty_axis_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one overlap and one prior"):
+            SweepGrid([0.5], [], 2)
 
 
 def _reference_solve_reduced(s_eff, n, eta1, eta2):
