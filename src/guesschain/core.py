@@ -28,8 +28,9 @@ stationarity residual, the equal-prior symmetric solution, the per-receiver
 greedy (Helstrom) strategy, and the pinned boundary strategies. Each of the
 last three has a ``*_point`` function that returns one instance's
 ``(p1, p2, joint)``; its ``StrategyResult`` builder wraps that function, and a
-sweep's array columns (``optimize.SweepGrid``) equal it bit for bit. Everything is a pure function of its arguments
-(thread-safe by statelessness) in float64.
+sweep's array columns (``optimize.SweepGrid``) equal it bit for bit.
+Everything is a pure function of its arguments (thread-safe by
+statelessness) in float64.
 """
 
 from __future__ import annotations
@@ -308,6 +309,12 @@ def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     )
 
 
+def _boundary_terms(s: float, n: int) -> tuple[float, float]:
+    """The pinned probability q = 1 - s**(2/N) and q**N."""
+    q = 1.0 - s ** (2.0 / n)
+    return q, q**n
+
+
 def boundary_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
     """(p1, p2, joint) of ``boundary_solution``.
 
@@ -321,12 +328,6 @@ def boundary_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
     if joint_pin1 > joint_pin2:
         return 1.0, q, joint_pin1
     return q, 1.0, joint_pin2
-
-
-def _boundary_terms(s: float, n: int) -> tuple[float, float]:
-    """The pinned probability q = 1 - s**(2/N) and q**N."""
-    q = 1.0 - s ** (2.0 / n)
-    return q, q**n
 
 
 def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
