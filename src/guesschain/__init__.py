@@ -6,18 +6,15 @@ from .core import (
     Strategy,
     StrategyResult,
     SuccessPair,
-    boundary_point,
     boundary_solution,
     distinguishability,
     equal_prior_jbg,
-    greedy_point,
     helstrom_bound,
     helstrom_success_pair,
     individual_greedy,
     overlap_ladder,
     p2_from_p1,
     stationarity_residual,
-    symmetric_point,
 )
 from .optimize import (
     FullChainSolution,
@@ -61,14 +58,12 @@ __all__ = [
     "StrategyResult",
     "SuccessPair",
     "SweepGrid",
-    "boundary_point",
     "boundary_solution",
     "build_chain",
     "build_stage",
     "distinguishability",
     "equal_prior_jbg",
     "find_sb",
-    "greedy_point",
     "grid_search_oracle",
     "helstrom_bound",
     "helstrom_success_pair",
@@ -80,5 +75,4 @@ __all__ = [
     "p2_from_p1",
     "run_chain_simulation",
     "stationarity_residual",
-    "symmetric_point",
 ]

@@ -44,7 +44,6 @@ from .core import (
     boundary_solution,
     equal_prior_jbg,
     individual_greedy,
-    symmetric_point,
 )
 from .optimize import SweepGrid, find_sb, optimize_reduced
 from .povm import MeasurementStage, build_chain
@@ -67,7 +66,8 @@ def _solve(inst: DiscriminationInstance, strategy: Strategy) -> StrategyResult:
         # Same symmetric stages; the joint is reweighted by the true priors
         # (the product can differ from p**N in the last bits).
         symmetric = equal_prior_jbg(inst.overlap, inst.n_receivers)
-        return dataclasses.replace(symmetric, joint_success=symmetric_point(inst)[2])
+        joint = symmetric.recompute_joint(inst.prior_1, inst.prior_2)
+        return dataclasses.replace(symmetric, joint_success=joint)
     if strategy is Strategy.INDIVIDUAL_GREEDY:
         return individual_greedy(inst)
     if strategy is Strategy.BOUNDARY:

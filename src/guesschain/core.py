@@ -25,12 +25,9 @@ receiver faces the same effective overlap ``s**(1/N)`` and uses the same
 This module holds the problem/result containers and all closed-form pieces of
 that reduced problem: the constraint, its solution branch p2(p1), the interior
 stationarity residual, the equal-prior symmetric solution, the per-receiver
-greedy (Helstrom) strategy, and the pinned boundary strategies. Each of the
-last three has a ``*_point`` function that returns one instance's
-``(p1, p2, joint)``; its ``StrategyResult`` builder wraps that function, and a
-sweep's array columns (``optimize.SweepGrid``) equal it bit for bit.
-Everything is a pure function of its arguments (thread-safe by
-statelessness) in float64.
+greedy (Helstrom) strategy, and the pinned boundary strategies. Everything
+is a pure function of its arguments (thread-safe by statelessness) in
+float64.
 """
 
 from __future__ import annotations
@@ -47,18 +44,15 @@ __all__ = [
     "Strategy",
     "StrategyResult",
     "SuccessPair",
-    "boundary_point",
     "boundary_solution",
     "distinguishability",
     "equal_prior_jbg",
-    "greedy_point",
     "helstrom_bound",
     "helstrom_success_pair",
     "individual_greedy",
     "overlap_ladder",
     "p2_from_p1",
     "stationarity_residual",
-    "symmetric_point",
     "theta_residual",
 ]
 
@@ -239,25 +233,14 @@ def equal_prior_jbg(s: float, n: int) -> StrategyResult:
     threshold (see ``optimize.find_sb``); above it, the interior optimum
     becomes asymmetric and this formula is only a local maximum. The result
     is computed unconditionally and labeled JBG_SYMMETRIC_ANALYTIC; its joint
-    is p**N, the value at equal priors (``symmetric_point`` weights it by an
-    instance's priors).
+    is p**N, the value at equal priors (``recompute_joint`` weights the stages
+    by an instance's priors).
     """
     s = _check_unit_interval("s", s)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
     p = _symmetric_p(s, n)
-    return _uniform_chain(s, n, (p, p, p**n), Strategy.JBG_SYMMETRIC_ANALYTIC)
-
-
-def symmetric_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
-    """(p1, p2, joint) of the symmetric solution weighted by the instance's priors.
-
-    The joint is eta1 * P + eta2 * P with P the product of the N stage
-    probabilities taken in chain order, so it equals
-    ``equal_prior_jbg(s, N).recompute_joint(eta1, eta2)`` bit for bit.
-    """
-    p, product = _symmetric_terms(inst.overlap, inst.n_receivers)
-    return p, p, inst.prior_1 * product + inst.prior_2 * product
+    return _uniform_chain(s, n, p, p, p**n, Strategy.JBG_SYMMETRIC_ANALYTIC)
 
 
 def helstrom_bound(overlap: float, eta1: float, eta2: float) -> float:
@@ -288,14 +271,6 @@ def helstrom_success_pair(overlap: float, eta1: float, eta2: float) -> SuccessPa
     return SuccessPair(min(max(p1, 0.0), 1.0), min(max(p2, 0.0), 1.0))
 
 
-def greedy_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
-    """(p1, p2, joint) of ``individual_greedy``: the Helstrom pair at the
-    per-receiver budget s**(1/N) for the true priors."""
-    p1, p2 = helstrom_success_pair(inst.effective_overlap, inst.prior_1, inst.prior_2)
-    n = inst.n_receivers
-    return p1, p2, inst.prior_1 * p1**n + inst.prior_2 * p2**n
-
-
 def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     """Chain in which every receiver maximizes its own average success.
 
@@ -304,9 +279,10 @@ def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     receiver's individual average success but is generally suboptimal for the
     probability that all receivers succeed simultaneously.
     """
-    return _uniform_chain(
-        inst.overlap, inst.n_receivers, greedy_point(inst), Strategy.INDIVIDUAL_GREEDY
-    )
+    p1, p2 = helstrom_success_pair(inst.effective_overlap, inst.prior_1, inst.prior_2)
+    n = inst.n_receivers
+    joint = inst.prior_1 * p1**n + inst.prior_2 * p2**n
+    return _uniform_chain(inst.overlap, n, p1, p2, joint, Strategy.INDIVIDUAL_GREEDY)
 
 
 def _boundary_terms(s: float, n: int) -> tuple[float, float]:
@@ -315,32 +291,26 @@ def _boundary_terms(s: float, n: int) -> tuple[float, float]:
     return q, q**n
 
 
-def boundary_point(inst: DiscriminationInstance) -> tuple[float, float, float]:
-    """(p1, p2, joint) of ``boundary_solution``.
+def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
+    """Better of the two pinned strategies p2 = 1 or p1 = 1 at every stage.
 
     Pinning p2 = 1 forces p1 = q = 1 - s**(2/N) through the constraint (and
     mirrored for p1 = 1), giving joint successes eta1 * q**N + eta2 and
     eta1 + eta2 * q**N. Ties (equal priors) resolve to the p2 = 1 branch.
     """
-    q, q_n = _boundary_terms(inst.overlap, inst.n_receivers)
+    n = inst.n_receivers
+    q, q_n = _boundary_terms(inst.overlap, n)
     joint_pin2 = inst.prior_1 * q_n + inst.prior_2
     joint_pin1 = inst.prior_1 + inst.prior_2 * q_n
     if joint_pin1 > joint_pin2:
-        return 1.0, q, joint_pin1
-    return q, 1.0, joint_pin2
-
-
-def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
-    """Better of the two pinned strategies p2 = 1 or p1 = 1 at every stage
-    (see ``boundary_point``)."""
-    return _uniform_chain(inst.overlap, inst.n_receivers, boundary_point(inst), Strategy.BOUNDARY)
+        return _uniform_chain(inst.overlap, n, 1.0, q, joint_pin1, Strategy.BOUNDARY)
+    return _uniform_chain(inst.overlap, n, q, 1.0, joint_pin2, Strategy.BOUNDARY)
 
 
 def _uniform_chain(
-    s: float, n: int, point: tuple[float, float, float], strategy: Strategy
+    s: float, n: int, p1: float, p2: float, joint: float, strategy: Strategy
 ) -> StrategyResult:
-    """Chain of N receivers that all use the point's pair, with its joint."""
-    p1, p2, joint = point
+    """Chain of N receivers that all use the pair (p1, p2), with its joint."""
     return StrategyResult(
         stages=(SuccessPair(p1, p2),) * n,
         overlaps=overlap_ladder(s, n),

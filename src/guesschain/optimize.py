@@ -59,6 +59,7 @@ from .core import (
     _boundary_terms,
     _symmetric_p,
     _symmetric_terms,
+    _uniform_chain,
     helstrom_success_pair,
     overlap_ladder,
     p2_from_p1,
@@ -109,15 +110,24 @@ def _symmetric_is_optimal(phi: float, n: int, eta1: float, eta2: float) -> bool:
 
 def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[float, float, float]:
     """Maximize g at budget ``s_eff`` for eta1 >= eta2; returns (p1, p2, joint)."""
+
+    def evaluate(theta: float) -> tuple[float, float, float]:
+        p1 = math.cos(theta) ** 2
+        p2 = p2_from_p1(p1, s_eff)
+        return p1, p2, eta1 * p1**n + eta2 * p2**n
+
     phi = math.asin(s_eff)
-    theta = 0.5 * phi
+    p1, p2, joint = evaluate(0.5 * phi)
+    # In the symmetric case phi/2 is the maximum, though rounding could make a
+    # bisected theta* evaluate higher, so there is no bisection. Elsewhere take
+    # the higher of the two; a tie goes to phi/2, the most symmetric pair.
     if not _symmetric_is_optimal(phi, n, eta1, eta2):
         # residual(lo) < 0 <= residual(hi) throughout; the one sign change on
         # [0, phi/2] is the maximum (module docstring). The test is
         # core.theta_residual(mid, ...) < 0.0 written as a < b, in the same
         # operation order: a - b < 0.0 and a < b agree for every float.
         cos, sin, e = math.cos, math.sin, 2 * n - 1
-        lo, hi = 0.0, theta
+        lo, hi = 0.0, 0.5 * phi
         for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             rest = phi - mid
@@ -125,32 +135,14 @@ def _solve_reduced(s_eff: float, n: int, eta1: float, eta2: float) -> tuple[floa
                 lo = mid
             else:
                 hi = mid
-        theta = 0.5 * (lo + hi)
-    return _finish_reduced(theta, phi, s_eff, n, eta1, eta2)
-
-
-def _finish_reduced(
-    theta: float, phi: float, s_eff: float, n: int, eta1: float, eta2: float
-) -> tuple[float, float, float]:
-    """(p1, p2, joint) from the bisected root ``theta``, for eta1 >= eta2."""
-
-    def evaluate(theta: float) -> tuple[float, float, float]:
-        p1 = math.cos(theta) ** 2
-        p2 = p2_from_p1(p1, s_eff)
-        return p1, p2, eta1 * p1**n + eta2 * p2**n
-
-    # In the symmetric case phi/2 is the maximum, though rounding can make
-    # theta* evaluate higher, so theta is not evaluated. Elsewhere take the
-    # higher of the two; a tie goes to phi/2, the most symmetric pair.
-    p1, p2, joint = at_half = evaluate(0.5 * phi)
-    if not _symmetric_is_optimal(phi, n, eta1, eta2):
-        p1, p2, joint = evaluate(theta)
-        if at_half[2] >= joint:
-            p1, p2, joint = at_half
+        root = evaluate(0.5 * (lo + hi))
+        if root[2] > joint:
+            p1, p2, joint = root
     # On [0, phi/2] p1 >= p2; the swap only undoes rounding at theta ~ phi/2.
     if p1 < p2:
         p1, p2 = p2, p1
-    return p1, p2, eta1 * p1**n + eta2 * p2**n
+        joint = eta1 * p1**n + eta2 * p2**n
+    return p1, p2, joint
 
 
 def _pow(values: Iterable[float], exponent: int, count: int) -> np.ndarray:
@@ -194,17 +186,18 @@ class SweepGrid:
 
     Each method returns one strategy's cells as arrays indexed [i, j] for the
     instance ``DiscriminationInstance(overlaps[i], priors[j], n_receivers=n)``,
-    equal bit for bit to the scalar reference there: ``optimal`` to the first
-    stage and joint of ``optimize_reduced``, ``symmetric``, ``greedy`` and
-    ``boundary`` to ``symmetric_point``, ``greedy_point`` and
-    ``boundary_point``. Values that depend on the overlap alone (s_eff, phi,
-    the symmetric p, the boundary q, the phi/2 candidate) are computed once
-    per row with the scalar code. The rest follows the scalar operation
-    order on arrays: every cos, sin and power that reaches a cell comes from
-    the C library, as math gives it, and numpy computes only + - * /, sqrt
-    and comparisons, which IEEE 754 rounds correctly (the bisection's own
-    rule is in ``_bisect``). The axes are validated once, with the messages
-    and in the order that building each point's instance would give.
+    equal bit for bit to the first stage and joint of the scalar builder
+    there: ``optimal`` to ``optimize_reduced``, ``symmetric`` to
+    ``equal_prior_jbg`` reweighted by ``recompute_joint``, ``greedy`` to
+    ``individual_greedy`` and ``boundary`` to ``boundary_solution``. Values
+    that depend on the overlap alone (s_eff, phi, the symmetric p, the
+    boundary q, the phi/2 candidate) are computed once per row with the
+    scalar code. The rest follows the scalar operation order on arrays:
+    every cos, sin and power that reaches a cell comes from the C library, as
+    math gives it, and numpy computes only + - * /, sqrt and comparisons,
+    which IEEE 754 rounds correctly (the bisection's own rule is in
+    ``_bisect``). The axes are validated once, with the messages and in the
+    order that building each point's instance would give.
     """
 
     def __init__(self, overlaps: Sequence[float], priors: Sequence[float], n: int) -> None:
@@ -237,7 +230,7 @@ class SweepGrid:
         phi = [math.asin(s) for s in self._s_eff]
         s_eff = np.array(self._s_eff)[:, None]
         theta = _bisect(np.repeat(phi, cols), np.tile(eta1[0], rows), np.tile(eta2[0], rows), n)
-        # _finish_reduced: p1 = cos(theta)**2 and p2 = p2_from_p1(p1, s_eff)
+        # _solve_reduced's finish: p1 = cos(theta)**2 and p2 = p2_from_p1(p1, s_eff)
         # at the bisected point, against phi/2 (one per row), then the swap.
         p1 = _pow(map(math.cos, theta.tolist()), 2, theta.size).reshape(rows, cols)
         root = s_eff * np.sqrt(1.0 - p1) + np.sqrt(p1 * (1.0 - s_eff * s_eff))
@@ -262,13 +255,14 @@ class SweepGrid:
         return np.where(mirror, p2, p1), np.where(mirror, p1, p2), joint
 
     def symmetric(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p, joint) of ``symmetric_point``, whose p1 and p2 are both p; p
-        has one value per row, shape (rows, 1)."""
+        """(p, joint) of ``equal_prior_jbg``, whose p1 and p2 are both p,
+        with the joint ``recompute_joint`` gives at each prior; p has one
+        value per row, shape (rows, 1)."""
         p, product = np.array([_symmetric_terms(s, self.n) for s in self._overlaps]).T[:, :, None]
         return p, self._prior_1 * product + self._prior_2 * product
 
     def greedy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p1, p2, joint) of ``greedy_point``: the Helstrom pair at s_eff."""
+        """(p1, p2, joint) of ``individual_greedy``: the Helstrom pair at s_eff."""
         eta1, eta2 = self._prior_1, self._prior_2
         s_eff = np.array(self._s_eff)[:, None]
         # helstrom_success_pair; a row at s_eff = 1 is a pure guess, so its
@@ -285,7 +279,7 @@ class SweepGrid:
         return p1, p2, eta1 * self._powers(p1) + eta2 * self._powers(p2)
 
     def boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(q, pin1, joint) of ``boundary_point``: its pair is (1.0, q) where
+        """(q, pin1, joint) of ``boundary_solution``: its pair is (1.0, q) where
         pin1 is True and (q, 1.0) elsewhere; q has one value per row, shape
         (rows, 1)."""
         q, q_n = np.array([_boundary_terms(s, self.n) for s in self._overlaps]).T[:, :, None]
@@ -308,12 +302,7 @@ def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:
         p1, p2, joint = _solve_reduced(s_eff, n, inst.prior_1, inst.prior_2)
     else:
         p2, p1, joint = _solve_reduced(s_eff, n, inst.prior_2, inst.prior_1)
-    return StrategyResult(
-        stages=tuple(SuccessPair(p1, p2) for _ in range(n)),
-        overlaps=overlap_ladder(inst.overlap, n),
-        joint_success=joint,
-        strategy=Strategy.JBG_OPTIMAL,
-    )
+    return _uniform_chain(inst.overlap, n, p1, p2, joint, Strategy.JBG_OPTIMAL)
 
 
 def grid_search_oracle(inst: DiscriminationInstance, resolution: int) -> StrategyResult:

@@ -95,8 +95,9 @@ class SimConfig:
         # bool is an int subclass, but True is no trial count or seed
         if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+        # Philox takes keys below 2**128
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,9 @@ from guesschain import (
     Strategy,
     StrategyResult,
     SuccessPair,
-    boundary_point,
     build_chain,
     cli,
     distinguishability,
-    greedy_point,
-    optimize_reduced,
-    symmetric_point,
 )
 from guesschain.cli import main
 
@@ -436,18 +432,6 @@ class TestOptimizeCommand:
         assert out == json.dumps(payload, indent=2) + "\n"
 
 
-def _optimal_point(inst):
-    result = optimize_reduced(inst)
-    return (*result.stages[0], result.joint_success)
-
-
-# (p1, p2, joint) of one instance: the reference each sweep column must equal.
-SCALAR_REFERENCE = {
-    Strategy.JBG_OPTIMAL: _optimal_point,
-    Strategy.JBG_SYMMETRIC_ANALYTIC: symmetric_point,
-    Strategy.INDIVIDUAL_GREEDY: greedy_point,
-    Strategy.BOUNDARY: boundary_point,
-}
 # Sweep axes: any values in [0, 1], with 0, -0.0, 1, 1/2, subnormals and
 # values just inside the ends drawn often.
 SWEEP_AXIS = st.lists(
@@ -582,8 +566,8 @@ class TestSweepCommand:
     )
     def test_every_cell_equals_its_scalar_reference(self, overlaps, priors, n, strategies):
         """Each strategy's cells, in any order and with repeats, equal the
-        scalar reference's (joint, p1, p2) by float.hex, which keeps -0.0
-        apart from 0.0."""
+        joint and first stage that ``optimize`` prints for the instance, by
+        float.hex, which keeps -0.0 apart from 0.0."""
         rows = cli._sweep_rows(overlaps, priors, n, ("overlap", "prior_1"), strategies)
         expected = []
         for s in overlaps:
@@ -591,8 +575,8 @@ class TestSweepCommand:
                 inst = DiscriminationInstance(s, prior, n_receivers=n)
                 cells = [s, prior]
                 for strategy in strategies:
-                    p1, p2, joint = SCALAR_REFERENCE[strategy](inst)
-                    cells += [joint, p1, p2]
+                    result = cli._solve(inst, strategy)
+                    cells += [result.joint_success, *result.stages[0]]
                 expected.append([x.hex() for x in cells])
         assert [[float(t).hex() for t in row.split(",")] for row in rows] == expected
 
@@ -702,6 +686,23 @@ class TestSimulateCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: stage 1: outcome probability is not finite\n"
+
+    def test_seed_philox_cannot_key_exits_2_before_the_chain_is_built(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_chain", None)
+        code, out, err = _main_output(
+            ["simulate", "--overlap", "0.5", "--prior", "0.5", "--receivers", "2",
+             "--trials", "10", "--seed", str(2**128)]
+        )
+        assert (code, out) == (2, "")
+        assert "seed" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code = main(
+            ["simulate", "--overlap", "0.5", "--prior", "0.5", "--receivers", "2",
+             "--trials", "10", "--seed", str(2**128 - 1)]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**128 - 1
 
     def test_missing_seed_exits_2(self):
         result = run_cli(

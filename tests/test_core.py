@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from guesschain import (
     DiscriminationInstance,
     Strategy,
-    boundary_point,
     boundary_solution,
+    cli,
     distinguishability,
     equal_prior_jbg,
-    greedy_point,
     helstrom_bound,
     helstrom_success_pair,
     individual_greedy,
     overlap_ladder,
     p2_from_p1,
     stationarity_residual,
-    symmetric_point,
 )
 
 
@@ -307,9 +305,9 @@ class TestBoundarySolution:
         assert lopsided.stages[0].p1 == 1.0  # pin the likelier state
 
 
-class TestPointFunctions:
-    """Each closed-form point equals the first stage and the joint of its
-    StrategyResult builder, and every stage of the builder shares that pair."""
+class TestUniformChains:
+    """Every strategy, as ``optimize`` solves it, is a chain of N receivers
+    that share one pair, with an arriving overlap for each."""
 
     OVERLAPS = st.one_of(
         st.sampled_from((0.0, 1.0)),
@@ -329,21 +327,13 @@ class TestPointFunctions:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 200), overlap=OVERLAPS, prior=PRIORS)
-    def test_points_match_builders(self, n, overlap, prior):
+    def test_every_builder_is_a_uniform_chain(self, n, overlap, prior):
         inst = DiscriminationInstance(overlap, prior, n_receivers=n)
-        symmetric = equal_prior_jbg(overlap, n)
-        greedy = individual_greedy(inst)
-        boundary = boundary_solution(inst)
-        references = (
-            (symmetric_point, symmetric, symmetric.recompute_joint(inst.prior_1, inst.prior_2)),
-            (greedy_point, greedy, greedy.joint_success),
-            (boundary_point, boundary, boundary.joint_success),
-        )
-        for point, result, joint in references:
-            p1, p2, got_joint = point(inst)
-            assert (p1, p2, got_joint) == (result.stages[0].p1, result.stages[0].p2, joint)
-            assert all(stage == (p1, p2) for stage in result.stages)
-            assert len(result.stages) == n
+        for strategy in Strategy:
+            result = cli._solve(inst, strategy)
+            assert result.strategy is strategy
+            assert result.stages == (result.stages[0],) * n
+            assert len(result.overlaps) == n
 
 
 class TestDiscriminationInstance:

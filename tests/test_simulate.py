@@ -568,6 +568,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=-1, trials=10)
 
+    def test_rejects_a_seed_philox_cannot_key(self):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=2**128, trials=10)
+
     @pytest.mark.parametrize("seed, trials", [(True, 10), (1, True), (False, 10), (True, True)])
     def test_rejects_booleans(self, seed, trials):
         with pytest.raises(ValueError):
