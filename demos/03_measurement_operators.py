@@ -12,6 +12,7 @@ from guesschain import (
     distinguishability,
     make_state_pair,
     optimize_reduced,
+    overlap_ladder,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -21,7 +22,8 @@ result = optimize_reduced(inst)
 stages = build_chain(inst, result)
 
 print(f"chain for overlap={inst.overlap}, equal priors, {inst.n_receivers} receivers")
-print(f"arriving overlaps along the chain: {[round(t, 6) for t in result.overlaps]}\n")
+ladder = overlap_ladder(inst.overlap, inst.n_receivers)
+print(f"arriving overlaps along the chain: {[round(t, 6) for t in ladder]}\n")
 
 for k, stage in enumerate(stages, start=1):
     print(f"receiver {k}: consumes overlap {stage.in_overlap:.6f}, "

@@ -44,9 +44,10 @@ from .core import (
     boundary_solution,
     equal_prior_jbg,
     individual_greedy,
+    overlap_ladder,
 )
 from .optimize import SweepGrid, find_sb, optimize_reduced
-from .povm import MeasurementStage, build_chain
+from .povm import MeasurementStage, _half_angle, build_chain
 from .simulate import NumericalUnderflow, SimConfig, run_chain_simulation
 
 __all__ = ["main"]
@@ -177,18 +178,16 @@ def _optimize_text(
     """
     values = [inst.overlap, inst.prior_1, inst.prior_2]
     values += itertools.chain.from_iterable(result.stages)
-    values += result.overlaps
+    values += overlap_ladder(inst.overlap, inst.n_receivers)
     values.append(result.joint_success)
     for stage in stages or ():
         for detector in stage.detectors:
             values += itertools.chain.from_iterable(detector)
-        values += stage.outputs[0].amplitudes
-        values += stage.outputs[1].amplitudes
-        values += stage.success
-        values += (stage.in_overlap, stage.out_overlap)
+        c, s = _half_angle(stage.out_overlap)  # the output pair (c, s), (c, -s)
+        values += (c, s, c, -s, *stage.success, stage.in_overlap, stage.out_overlap)
     texts = _float_texts(values)
     head, *tails = _FRAMES[stages is not None]
-    counts = (len(result.stages), len(result.overlaps), len(stages or ()))
+    counts = (len(result.stages), inst.n_receivers, len(stages or ()))
     template = head + "".join(
         _ITEM_SEPARATOR.join([item] * count) + tail
         for item, count, tail in zip(_ITEMS, counts, tails)

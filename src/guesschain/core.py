@@ -88,15 +88,13 @@ class SuccessPair(NamedTuple):
 
 @dataclass(frozen=True)
 class DiscriminationInstance:
-    """One discrimination problem: overlap, priors, and chain length.
+    """One discrimination problem: overlap, prior of state 1, and chain length.
 
-    ``prior_2`` may be omitted and defaults to ``1 - prior_1``. Priors must
-    sum to 1 within 1e-12.
+    The prior of state 2 is derived: ``prior_2`` is ``1 - prior_1``.
     """
 
     overlap: float
     prior_1: float
-    prior_2: float | None = None
     n_receivers: int = 1
 
     def __post_init__(self) -> None:
@@ -104,18 +102,15 @@ class DiscriminationInstance:
             raise ValueError(f"overlap must lie in [0, 1], got {self.overlap!r}")
         if not (math.isfinite(self.prior_1) and 0.0 <= self.prior_1 <= 1.0):
             raise ValueError(f"prior_1 must lie in [0, 1], got {self.prior_1!r}")
-        if self.prior_2 is None:
-            object.__setattr__(self, "prior_2", 1.0 - self.prior_1)
-        if not (math.isfinite(self.prior_2) and 0.0 <= self.prior_2 <= 1.0):
-            raise ValueError(f"prior_2 must lie in [0, 1], got {self.prior_2!r}")
-        if abs(self.prior_1 + self.prior_2 - 1.0) > 1e-12:
-            raise ValueError(
-                f"priors must sum to 1 within 1e-12, got {self.prior_1!r} + {self.prior_2!r}"
-            )
         if not isinstance(self.n_receivers, int) or isinstance(self.n_receivers, bool):
             raise ValueError(f"n_receivers must be an int, got {self.n_receivers!r}")
         if self.n_receivers < 1:
             raise ValueError(f"n_receivers must be >= 1, got {self.n_receivers}")
+
+    @property
+    def prior_2(self) -> float:
+        """Prior probability of state 2, ``1 - prior_1``."""
+        return 1.0 - self.prior_1
 
     @property
     def effective_overlap(self) -> float:
@@ -128,16 +123,14 @@ class StrategyResult:
     """A complete chain strategy.
 
     stages
-        One SuccessPair per receiver, in chain order.
-    overlaps
-        Overlap of the state pair *arriving* at each receiver (first entry is
-        the prepared-pair overlap).
+        One SuccessPair per receiver, in chain order. Receiver k faces the
+        arriving-pair overlap ``overlap_ladder(s, N)[k]`` of the instance's
+        overlap s.
     joint_success
         eta1 * prod(p1) + eta2 * prod(p2) for the instance it was built for.
     """
 
     stages: tuple[SuccessPair, ...]
-    overlaps: tuple[float, ...]
     joint_success: float
     strategy: Strategy
 
@@ -240,7 +233,7 @@ def equal_prior_jbg(s: float, n: int) -> StrategyResult:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
     p = _symmetric_p(s, n)
-    return _uniform_chain(s, n, p, p, p**n, Strategy.JBG_SYMMETRIC_ANALYTIC)
+    return _uniform_chain(n, p, p, p**n, Strategy.JBG_SYMMETRIC_ANALYTIC)
 
 
 def helstrom_bound(overlap: float, eta1: float, eta2: float) -> float:
@@ -282,7 +275,7 @@ def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     p1, p2 = helstrom_success_pair(inst.effective_overlap, inst.prior_1, inst.prior_2)
     n = inst.n_receivers
     joint = inst.prior_1 * p1**n + inst.prior_2 * p2**n
-    return _uniform_chain(inst.overlap, n, p1, p2, joint, Strategy.INDIVIDUAL_GREEDY)
+    return _uniform_chain(n, p1, p2, joint, Strategy.INDIVIDUAL_GREEDY)
 
 
 def _boundary_terms(s: float, n: int) -> tuple[float, float]:
@@ -303,17 +296,12 @@ def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
     joint_pin2 = inst.prior_1 * q_n + inst.prior_2
     joint_pin1 = inst.prior_1 + inst.prior_2 * q_n
     if joint_pin1 > joint_pin2:
-        return _uniform_chain(inst.overlap, n, 1.0, q, joint_pin1, Strategy.BOUNDARY)
-    return _uniform_chain(inst.overlap, n, q, 1.0, joint_pin2, Strategy.BOUNDARY)
+        return _uniform_chain(n, 1.0, q, joint_pin1, Strategy.BOUNDARY)
+    return _uniform_chain(n, q, 1.0, joint_pin2, Strategy.BOUNDARY)
 
 
 def _uniform_chain(
-    s: float, n: int, p1: float, p2: float, joint: float, strategy: Strategy
+    n: int, p1: float, p2: float, joint: float, strategy: Strategy
 ) -> StrategyResult:
     """Chain of N receivers that all use the pair (p1, p2), with its joint."""
-    return StrategyResult(
-        stages=(SuccessPair(p1, p2),) * n,
-        overlaps=overlap_ladder(s, n),
-        joint_success=joint,
-        strategy=strategy,
-    )
+    return StrategyResult((SuccessPair(p1, p2),) * n, joint, strategy)

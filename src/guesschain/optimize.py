@@ -61,7 +61,6 @@ from .core import (
     _symmetric_terms,
     _uniform_chain,
     helstrom_success_pair,
-    overlap_ladder,
     p2_from_p1,
 )
 
@@ -302,7 +301,7 @@ def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:
         p1, p2, joint = _solve_reduced(s_eff, n, inst.prior_1, inst.prior_2)
     else:
         p2, p1, joint = _solve_reduced(s_eff, n, inst.prior_2, inst.prior_1)
-    return _uniform_chain(inst.overlap, n, p1, p2, joint, Strategy.JBG_OPTIMAL)
+    return _uniform_chain(n, p1, p2, joint, Strategy.JBG_OPTIMAL)
 
 
 def grid_search_oracle(inst: DiscriminationInstance, resolution: int) -> StrategyResult:
@@ -322,12 +321,7 @@ def grid_search_oracle(inst: DiscriminationInstance, resolution: int) -> Strateg
     p1 = math.cos(theta) ** 2
     p2 = p2_from_p1(p1, s_eff)
     joint = inst.prior_1 * p1**n + inst.prior_2 * p2**n
-    return StrategyResult(
-        stages=tuple(SuccessPair(p1, p2) for _ in range(n)),
-        overlaps=overlap_ladder(inst.overlap, n),
-        joint_success=joint,
-        strategy=Strategy.JBG_OPTIMAL,
-    )
+    return StrategyResult((SuccessPair(p1, p2),) * n, joint, Strategy.JBG_OPTIMAL)
 
 
 def _branch_pairs(p1: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,6 +43,7 @@ from .core import (
     StrategyResult,
     SuccessPair,
     _check_unit_interval,
+    overlap_ladder,
 )
 
 __all__ = [
@@ -120,10 +121,11 @@ def _half_angle(overlap: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeasurementStage:
-    """One receiver's detectors B1, B2, kept as ((a, b), (c, d)), plus its outputs."""
+    """One receiver's detectors B1, B2, kept as ((a, b), (c, d)). The stage
+    consumes the canonical pair of overlap ``in_overlap`` and emits the
+    canonical pair of overlap ``out_overlap`` (``outputs``)."""
 
     detectors: tuple[tuple[tuple[float, float], ...], ...]
-    outputs: tuple[QubitState, QubitState]
     success: SuccessPair
     in_overlap: float
     out_overlap: float
@@ -137,8 +139,13 @@ class MeasurementStage:
         a1, b1, c1, d1, a2, b2, c2, d2 = _real_floats(entries, "detectors")
         object.__setattr__(self, "detectors", (((a1, b1), (c1, d1)), ((a2, b2), (c2, d2))))
 
+    @property
+    def outputs(self) -> tuple[QubitState, QubitState]:
+        """The canonical pair of overlap ``out_overlap`` that the stage emits."""
+        return make_state_pair(self.out_overlap)
+
     def validate(self) -> None:
-        """Check completeness, positivity, action, and output geometry.
+        """Check completeness, positivity, and the action on the canonical pairs.
 
         Raises ValueError on the first violated invariant. Construction via
         ``build_stage`` always passes; this re-check exists so that stages
@@ -163,7 +170,8 @@ class MeasurementStage:
                 raise ValueError(f"POVM element {i} not positive: min eig {min_eig:.3e}")
         c, s = _half_angle(self.in_overlap)
         r1, w1, r2, w2 = _amplitudes(self.in_overlap, self.success, self.out_overlap)
-        v1, v2 = (state.amplitudes for state in self.outputs)
+        vc, vs = _half_angle(self.out_overlap)
+        v1, v2 = (vc, vs), (vc, -vs)
         # B psi for psi1 = (c, s) and psi2 = (c, -s), each with its amplitude
         # and the output state it must point along
         expected = (
@@ -182,11 +190,6 @@ class MeasurementStage:
                 fid = (vx * (x / norm) + vy * (y / norm)) ** 2
                 if fid < 1.0 - STAGE_ATOL:
                     raise ValueError(f"output state mismatch: fidelity {fid!r}")
-        out_overlap = abs(v1[0] * v2[0] + v1[1] * v2[1])
-        if not abs(out_overlap - self.out_overlap) <= STAGE_ATOL:  # NaN fails too
-            raise ValueError(
-                f"output overlap {out_overlap!r} differs from declared {self.out_overlap!r}"
-            )
 
 
 def _amplitudes(in_overlap: float, success: SuccessPair, out_overlap: float) -> tuple[float, ...]:
@@ -234,8 +237,7 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
     in_overlap = _check_unit_interval("in_overlap", in_overlap)
     out_overlap = _check_unit_interval("out_overlap", out_overlap)
     r1, w1, r2, w2 = _amplitudes(in_overlap, success, out_overlap)
-    outputs = make_state_pair(out_overlap)
-    c, s = outputs[0].amplitudes
+    c, s = _half_angle(out_overlap)
     # Images of psi1 + psi2 and psi1 - psi2 under [B1; B2], from
     # [B1; B2] psi1 = [r1 v1; w1 v1] and [B1; B2] psi2 = [w2 v2; r2 v2],
     # where v1,2 = (c, +-s).
@@ -256,7 +258,6 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
             ((even[0], odd[0]), (even[1], odd[1])),
             ((even[2], odd[2]), (even[3], odd[3])),
         ),
-        outputs=outputs,
         success=success,
         in_overlap=in_overlap,
         out_overlap=out_overlap,
@@ -268,25 +269,19 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
 def build_chain(inst: DiscriminationInstance, result: StrategyResult) -> list[MeasurementStage]:
     """Measurement stages realizing ``result`` along the whole chain.
 
-    Stage k consumes the canonical pair of overlap result.overlaps[k] and
+    Stage k consumes the canonical pair of overlap overlap_ladder(s, N)[k] and
     emits the canonical pair of the next overlap; the final receiver merges
-    its outputs (out_overlap = 1), since nothing downstream constrains it.
+    its outputs (out_overlap = 1), since nothing downstream constrains it. A
+    result built for another overlap fails some stage's budget check
+    (InfeasibleStage).
     """
-    if len(result.stages) != inst.n_receivers or len(result.overlaps) != inst.n_receivers:
-        raise ValueError(
-            f"strategy has {len(result.stages)} stages for {inst.n_receivers} receivers"
-        )
-    if abs(result.overlaps[0] - inst.overlap) > 1e-9:
-        raise ValueError(
-            f"strategy entry overlap {result.overlaps[0]!r} differs from instance "
-            f"overlap {inst.overlap!r}"
-        )
+    if len(result.stages) != inst.n_receivers:
+        raise ValueError(f"strategy has {len(result.stages)} stages for {inst.n_receivers} receivers")
+    ladder = overlap_ladder(inst.overlap, inst.n_receivers) + (1.0,)
     stages = []
     for k, success in enumerate(result.stages):
-        t_in = result.overlaps[k]
-        t_out = result.overlaps[k + 1] if k + 1 < inst.n_receivers else 1.0
         try:
-            stages.append(build_stage(t_in, success, t_out))
+            stages.append(build_stage(ladder[k], success, ladder[k + 1]))
         except ValueError as exc:
             raise type(exc)(f"stage {k + 1} of {inst.n_receivers}: {exc}") from exc
     return stages

@@ -20,13 +20,13 @@ from guesschain import (
     DiscriminationInstance,
     MeasurementStage,
     NumericalUnderflow,
-    QubitState,
     Strategy,
     StrategyResult,
     SuccessPair,
     build_chain,
     cli,
     distinguishability,
+    overlap_ladder,
 )
 from guesschain.cli import main
 
@@ -61,7 +61,7 @@ def _reference_payload(inst, result, stages=None):
         "receivers": inst.n_receivers,
         "strategy": result.strategy.name,
         "stages": [{"p1": s.p1, "p2": s.p2} for s in result.stages],
-        "overlaps": list(result.overlaps),
+        "overlaps": list(overlap_ladder(inst.overlap, inst.n_receivers)),
         "joint_success": result.joint_success,
     }
     if stages is not None:
@@ -91,19 +91,16 @@ def _main_output(argv):
 def _odd_stage(in_overlap=-0.0):
     """An unvalidated stage whose numbers need every kind of float text: 0.0
     and -0.0, NaNs of two sign bits, both infinities, a subnormal and
-    exponents."""
-    # QubitState rejects a NaN amplitude, so this output skips its constructor.
-    nan_output = object.__new__(QubitState)
-    object.__setattr__(nan_output, "amplitudes", (-math.nan, -0.0))
+    exponents. Its outputs derive from an out_overlap in [0, 1], whose
+    canonical pair has amplitudes with exponents of both signs."""
     return MeasurementStage(
         detectors=(
             np.array([[math.nan, math.inf], [-math.inf, -0.0]]),
             np.array([[5e-324, 1e16], [0.1, -1.0]]),
         ),
-        outputs=(nan_output, QubitState((1.0, 5e-324))),
-        success=SuccessPair(math.inf, 0.0),
+        success=SuccessPair(math.inf, -math.nan),
         in_overlap=in_overlap,
-        out_overlap=1e16,
+        out_overlap=1.0 - 2**-53,
     )
 
 
@@ -318,9 +315,9 @@ class TestOptimizeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         inst = DiscriminationInstance(
-            payload["overlap"], payload["prior_1"], payload["prior_2"],
-            payload["receivers"],
+            payload["overlap"], payload["prior_1"], payload["receivers"]
         )
+        assert inst.prior_2 == payload["prior_2"]
         prod1 = prod2 = 1.0
         for stage in payload["stages"]:
             assert 0.0 <= stage["p1"] <= 1.0 and 0.0 <= stage["p2"] <= 1.0
@@ -405,12 +402,11 @@ class TestOptimizeCommand:
 
     def test_stage_text_equals_the_generic_encoder(self):
         """0.0 and -0.0, two NaNs, infinities, a subnormal and exponents read as
-        json writes them, in every list of the payload and in its head; the
-        stages share the head's overlap 0.5."""
+        json writes them, in every list of the payload but the overlaps and in
+        its head; the stages share the head's overlap 0.5."""
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
         result = StrategyResult(
             stages=(SuccessPair(0.0, -0.0), SuccessPair(math.nan, 5e-324)),
-            overlaps=(0.5, -math.inf),
             joint_success=float("nan"),
             strategy=Strategy.BOUNDARY,
         )

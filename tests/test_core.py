@@ -187,8 +187,7 @@ class TestEqualPriorSolution:
             assert equal_prior_jbg(float(s), 1).joint_success == expected
 
     def test_overlap_ladder(self):
-        result = equal_prior_jbg(0.25, 2)
-        np.testing.assert_allclose(result.overlaps, (0.25, 0.5), atol=1e-15)
+        np.testing.assert_allclose(overlap_ladder(0.25, 2), (0.25, 0.5), atol=1e-15)
         # the arriving overlaps never decrease along the chain
         for s, n in ((0.3, 4), (0.9, 3), (0.0, 2), (1.0, 5)):
             ladder = overlap_ladder(s, n)
@@ -333,7 +332,7 @@ class TestUniformChains:
             result = cli._solve(inst, strategy)
             assert result.strategy is strategy
             assert result.stages == (result.stages[0],) * n
-            assert len(result.overlaps) == n
+        assert len(overlap_ladder(overlap, n)) == n
 
 
 class TestDiscriminationInstance:
@@ -351,7 +350,6 @@ class TestDiscriminationInstance:
             {"overlap": -0.1, "prior_1": 0.5},
             {"overlap": 1.5, "prior_1": 0.5},
             {"overlap": 0.5, "prior_1": -0.2},
-            {"overlap": 0.5, "prior_1": 0.5, "prior_2": 0.6},
             {"overlap": 0.5, "prior_1": 0.5, "n_receivers": 0},
             {"overlap": 0.5, "prior_1": 0.5, "n_receivers": 2.0},
             {"overlap": float("nan"), "prior_1": 0.5},

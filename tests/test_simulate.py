@@ -519,7 +519,6 @@ def _tamper(stage, row, col, amount):
     bad[row, col] += amount
     return MeasurementStage(
         detectors=(bad, stage.detectors[1]),
-        outputs=stage.outputs,
         success=stage.success,
         in_overlap=stage.in_overlap,
         out_overlap=stage.out_overlap,
