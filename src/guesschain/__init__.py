@@ -3,6 +3,7 @@ strategies, explicit measurement operators, and Monte Carlo verification."""
 
 from .core import (
     DiscriminationInstance,
+    MAX_RECEIVERS,
     Strategy,
     StrategyResult,
     SuccessPair,
@@ -48,6 +49,7 @@ __all__ = [
     "DiscriminationInstance",
     "FullChainSolution",
     "InfeasibleStage",
+    "MAX_RECEIVERS",
     "MeasurementStage",
     "NumericalUnderflow",
     "PRNG_NAME",

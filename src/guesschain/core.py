@@ -41,6 +41,7 @@ from typing import NamedTuple
 __all__ = [
     "DOMAIN_SLACK",
     "DiscriminationInstance",
+    "MAX_RECEIVERS",
     "Strategy",
     "StrategyResult",
     "SuccessPair",
@@ -59,6 +60,9 @@ __all__ = [
 # Tolerated excursion outside [0, 1] before an argument is treated as a caller
 # bug rather than roundoff.
 DOMAIN_SLACK = 1e-12
+
+# Longest chain an instance admits (see DiscriminationInstance).
+MAX_RECEIVERS = 1_000
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -90,7 +94,11 @@ class SuccessPair(NamedTuple):
 class DiscriminationInstance:
     """One discrimination problem: overlap, prior of state 1, and chain length.
 
-    The prior of state 2 is derived: ``prior_2`` is ``1 - prior_1``.
+    The prior of state 2 is derived: ``prior_2`` is ``1 - prior_1``. A chain
+    has 1 to ``MAX_RECEIVERS`` = 1,000 receivers. The bound must stay at most
+    2,000: a simulation's draw buffer takes about CHUNK_TRIALS * (N + 1) * 8 B
+    (131 MB at N = 1,000), and the sweep's 1e-12 near-set window covers a
+    +-2-ulp libm spread of cos and sin only up to N ~ 2,000.
     """
 
     overlap: float
@@ -106,6 +114,10 @@ class DiscriminationInstance:
             raise ValueError(f"n_receivers must be an int, got {self.n_receivers!r}")
         if self.n_receivers < 1:
             raise ValueError(f"n_receivers must be >= 1, got {self.n_receivers}")
+        if self.n_receivers > MAX_RECEIVERS:
+            raise ValueError(
+                f"n_receivers must be <= MAX_RECEIVERS = {MAX_RECEIVERS}, got {self.n_receivers}"
+            )
 
     @property
     def prior_2(self) -> float:
@@ -230,8 +242,8 @@ def equal_prior_jbg(s: float, n: int) -> StrategyResult:
     by an instance's priors).
     """
     s = _check_unit_interval("s", s)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RECEIVERS:
+        raise ValueError(f"n must be an int in [1, MAX_RECEIVERS = {MAX_RECEIVERS}], got {n!r}")
     p = _symmetric_p(s, n)
     return _uniform_chain(n, p, p, p**n, Strategy.JBG_SYMMETRIC_ANALYTIC)
 

@@ -272,8 +272,8 @@ def build_chain(inst: DiscriminationInstance, result: StrategyResult) -> list[Me
     Stage k consumes the canonical pair of overlap overlap_ladder(s, N)[k] and
     emits the canonical pair of the next overlap; the final receiver merges
     its outputs (out_overlap = 1), since nothing downstream constrains it. A
-    result built for another overlap fails some stage's budget check
-    (InfeasibleStage).
+    result built for another overlap misses some stage's budget
+    (InfeasibleStage), unless ``validate`` refuses an earlier stage.
     """
     if len(result.stages) != inst.n_receivers:
         raise ValueError(f"strategy has {len(result.stages)} stages for {inst.n_receivers} receivers")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from guesschain import (
     DiscriminationInstance,
+    MAX_RECEIVERS,
     MeasurementStage,
     NumericalUnderflow,
     Strategy,
@@ -763,7 +764,11 @@ def _argv(draw, tmp):
     real = _ANY_FLOAT if wild else _UNIT_FLOAT
     name = st.one_of(_STRATEGY_NAME, st.just("NO_SUCH")) if wild else _STRATEGY_NAME
     command = draw(st.sampled_from(["optimize", "sweep", "simulate", "find-sb"]))
-    receivers = f"--receivers={draw(st.integers(-1 if wild else 2, 12))}"
+    # Chains above MAX_RECEIVERS, up to sizes that no list can hold, are
+    # refused before anything of length N is built.
+    huge = st.sampled_from((MAX_RECEIVERS + 1, 2**61, 10**20))
+    n = st.one_of(st.integers(-1, 12), huge) if wild else st.integers(2, 12)
+    receivers = f"--receivers={draw(n)}"
     if command == "find-sb":
         return [command, receivers]
     if command == "sweep":

@@ -1,5 +1,6 @@
 """Closed-form layer: constraint function, branches, stationarity, strategies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from guesschain import (
     DiscriminationInstance,
+    MAX_RECEIVERS,
     Strategy,
     boundary_solution,
     cli,
@@ -339,6 +341,25 @@ class TestDiscriminationInstance:
     def test_prior_2_defaults_to_complement(self):
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
         assert inst.prior_2 == pytest.approx(0.7, abs=1e-15)
+        assert inst.prior_2 == 1.0 - inst.prior_1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.prior_2 = 0.7
+
+    def test_old_prior_2_calls_raise_typed_errors(self):
+        # The old third positional argument, prior_2, now lands in n_receivers.
+        with pytest.raises(ValueError, match="^n_receivers"):
+            DiscriminationInstance(0.5, 0.3, 0.7)
+        with pytest.raises(TypeError):
+            DiscriminationInstance(0.5, 0.3, prior_2=0.7)
+
+    def test_receivers_bound(self):
+        assert DiscriminationInstance(0.5, 0.3, MAX_RECEIVERS).n_receivers == MAX_RECEIVERS
+        for n in (MAX_RECEIVERS + 1, 2**61, 10**20):
+            with pytest.raises(ValueError, match=f"MAX_RECEIVERS = {MAX_RECEIVERS}, got {n}$"):
+                DiscriminationInstance(0.5, 0.3, n)
+            with pytest.raises(ValueError, match=f"MAX_RECEIVERS = {MAX_RECEIVERS}"):
+                equal_prior_jbg(0.5, n)
+        assert len(equal_prior_jbg(0.5, MAX_RECEIVERS).stages) == MAX_RECEIVERS
 
     def test_effective_overlap(self):
         inst = DiscriminationInstance(0.25, 0.5, n_receivers=2)
@@ -350,6 +371,7 @@ class TestDiscriminationInstance:
             {"overlap": -0.1, "prior_1": 0.5},
             {"overlap": 1.5, "prior_1": 0.5},
             {"overlap": 0.5, "prior_1": -0.2},
+            {"overlap": 0.5, "prior_1": 0.5, "n_receivers": MAX_RECEIVERS + 1},
             {"overlap": 0.5, "prior_1": 0.5, "n_receivers": 0},
             {"overlap": 0.5, "prior_1": 0.5, "n_receivers": 2.0},
             {"overlap": float("nan"), "prior_1": 0.5},

@@ -264,6 +264,31 @@ def symmetric_solution(inst):
     return equal_prior_jbg(inst.overlap, inst.n_receivers)
 
 
+class TestChainLadder:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 200),
+        overlap=st.floats(0.0, 1.0),
+        prior=st.floats(0.0, 1.0),
+        solver=st.sampled_from((*SOLVERS, symmetric_solution)),
+    )
+    def test_follows_the_ladder_and_refuses_a_foreign_result(self, n, overlap, prior, solver):
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        stages = build_chain(inst, solver(inst))
+        ladder = [t.hex() for t in overlap_ladder(overlap, n)]
+        assert [stage.in_overlap.hex() for stage in stages] == ladder
+        assert [stage.out_overlap.hex() for stage in stages] == [*ladder[1:], (1.0).hex()]
+        # A result built for an overlap whose budget s**(1/N) differs by more
+        # than 1e-3 is refused, and the budget checks alone refuse it.
+        other = 0.5 * overlap if overlap >= 0.5 else 0.5 * (1.0 + overlap)
+        foreign = solver(DiscriminationInstance(other, prior, n_receivers=n))
+        with pytest.raises(ValueError):
+            build_chain(inst, foreign)
+        with mock.patch.object(MeasurementStage, "validate", lambda stage: None):
+            with pytest.raises(InfeasibleStage):
+                build_chain(inst, foreign)
+
+
 class TestChainConditioning:
     """Chains stay complete to rounding however close the overlaps come to 1."""
 
@@ -406,6 +431,14 @@ class TestStageValidation:
             assert all(type(x) is float for row in det for x in row)
         assert read_back.detectors == stage.detectors
         read_back.validate()
+
+    def test_outputs_are_no_constructor_input(self):
+        stage = build_stage(0.4, SuccessPair(0.8, 0.7), 0.4 / distinguishability(0.8, 0.7))
+        assert stage.outputs == make_state_pair(stage.out_overlap)
+        with pytest.raises(TypeError):  # the old field order, outputs second
+            MeasurementStage(
+                stage.detectors, stage.outputs, stage.success, stage.in_overlap, stage.out_overlap
+            )
 
     def test_detectors_are_read_only(self):
         stage = build_stage(0.0, SuccessPair(1.0, 1.0), 0.0)
