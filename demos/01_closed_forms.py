@@ -35,18 +35,19 @@ for p1 in (1.0, 0.9, 0.8):
           f"(D = {distinguishability(p1, p2):.6f})")
 print()
 
-symmetric = equal_prior_jbg(inst.overlap, inst.n_receivers)
+symmetric = equal_prior_jbg(inst)
 greedy = individual_greedy(inst)
 pinned = boundary_solution(inst)
 print("strategy comparison (equal priors, two receivers):")
 print(f"  {'strategy':26s} {'p1':>10s} {'p2':>10s} {'joint':>10s}")
 for result in (symmetric, greedy, pinned):
-    stage = result.stages[0]
-    print(f"  {result.strategy.name:26s} {stage.p1:10.6f} {stage.p2:10.6f} "
+    p1, p2 = result.pair
+    print(f"  {result.strategy.name:26s} {p1:10.6f} {p2:10.6f} "
           f"{result.joint_success:10.6f}")
 print()
 print("With equal priors below the validity threshold the greedy strategy")
 print("coincides with the symmetric one; the boundary strategy is strictly worse.")
-print(f"Single-receiver sanity: equal_prior_jbg(s, 1) = "
-      f"{equal_prior_jbg(0.5, 1).joint_success:.6f} "
+single = DiscriminationInstance(overlap=0.5, prior_1=0.5, n_receivers=1)
+print(f"Single-receiver sanity: equal_prior_jbg at N = 1 gives "
+      f"{equal_prior_jbg(single).joint_success:.6f} "
       f"(= (1 + sqrt(1 - 0.25))/2 = {(1 + math.sqrt(0.75)) / 2:.6f})")

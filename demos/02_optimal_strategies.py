@@ -27,8 +27,8 @@ print(f"  {'prior_1':>8s} {'p1':>10s} {'p2':>10s} {'joint':>10s}")
 for eta1 in np.linspace(0.0, 1.0, 11):
     inst = DiscriminationInstance(0.5, float(eta1), n_receivers=2)
     result = optimize_reduced(inst)
-    stage = result.stages[0]
-    print(f"  {eta1:8.2f} {stage.p1:10.6f} {stage.p2:10.6f} {result.joint_success:10.6f}")
+    p1, p2 = result.pair
+    print(f"  {eta1:8.2f} {p1:10.6f} {p2:10.6f} {result.joint_success:10.6f}")
 print("note the washout limit: as prior_1 -> 0 the optimum pins p2 = 1 while")
 print("p1 -> 1 - overlap, a pure artifact of the overlap budget.\n")
 
@@ -56,9 +56,9 @@ print()
 s = 0.9
 inst = DiscriminationInstance(s, 0.5, n_receivers=2)
 best = optimize_reduced(inst)
-symmetric = equal_prior_jbg(s, 2)
+symmetric = equal_prior_jbg(inst)
 print(f"above the threshold (s = {s}) the symmetric formula is no longer optimal:")
 print(f"  symmetric analytic : {symmetric.joint_success:.6f}  "
-      f"(p = {symmetric.stages[0].p1:.6f})")
+      f"(p = {symmetric.pair.p1:.6f})")
 print(f"  global optimum     : {best.joint_success:.6f}  "
-      f"(p1 = {best.stages[0].p1:.6f}, p2 = {best.stages[0].p2:.6f})")
+      f"(p1 = {best.pair.p1:.6f}, p2 = {best.pair.p2:.6f})")

@@ -34,8 +34,8 @@ print(f"  deviation from prediction: {report.z_score:+.2f} standard errors\n")
 
 print("per-receiver conditional success (empirical vs predicted):")
 print(f"  {'receiver':>8s} {'given 1':>20s} {'given 2':>20s}")
+predicted = result.pair  # the pair every receiver uses
 for k, (given1, given2) in enumerate(report.per_receiver_success):
-    predicted = result.stages[k]
     sig1 = math.sqrt(predicted.p1 * (1 - predicted.p1) / report.per_state_counts[0])
     sig2 = math.sqrt(predicted.p2 * (1 - predicted.p2) / report.per_state_counts[1])
     print(f"  {k + 1:8d} {given1:9.5f} vs {predicted.p1:.5f} "

@@ -31,7 +31,6 @@ pure-Python indent encoder never runs: the 25 payloads of one chain-build round
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -64,11 +63,7 @@ def _solve(inst: DiscriminationInstance, strategy: Strategy) -> StrategyResult:
     if strategy is Strategy.JBG_OPTIMAL:
         return optimize_reduced(inst)
     if strategy is Strategy.JBG_SYMMETRIC_ANALYTIC:
-        # Same symmetric stages; the joint is reweighted by the true priors
-        # (the product can differ from p**N in the last bits).
-        symmetric = equal_prior_jbg(inst.overlap, inst.n_receivers)
-        joint = symmetric.recompute_joint(inst.prior_1, inst.prior_2)
-        return dataclasses.replace(symmetric, joint_success=joint)
+        return equal_prior_jbg(inst)
     if strategy is Strategy.INDIVIDUAL_GREEDY:
         return individual_greedy(inst)
     if strategy is Strategy.BOUNDARY:
@@ -177,7 +172,7 @@ def _optimize_text(
     hold an item, as in each payload the CLI writes.
     """
     values = [inst.overlap, inst.prior_1, inst.prior_2]
-    values += itertools.chain.from_iterable(result.stages)
+    values += result.pair * inst.n_receivers
     values += overlap_ladder(inst.overlap, inst.n_receivers)
     values.append(result.joint_success)
     for stage in stages or ():
@@ -187,7 +182,7 @@ def _optimize_text(
         values += (c, s, c, -s, *stage.success, stage.in_overlap, stage.out_overlap)
     texts = _float_texts(values)
     head, *tails = _FRAMES[stages is not None]
-    counts = (len(result.stages), inst.n_receivers, len(stages or ()))
+    counts = (inst.n_receivers, inst.n_receivers, len(stages or ()))
     template = head + "".join(
         _ITEM_SEPARATOR.join([item] * count) + tail
         for item, count, tail in zip(_ITEMS, counts, tails)
@@ -215,7 +210,7 @@ def _sweep_rows(
     coordinates named in ``coords``, then each strategy's joint, p1 and p2.
 
     Every cell is a Python float's repr, its shortest round-trip text, and
-    equals the first stage and joint of ``_solve`` for that instance. A value
+    equals the pair and joint of ``_solve`` for that instance. A value
     shared by a whole row or column (a coordinate, the symmetric p, the
     boundary q, the pinned 1.0) is formatted once, and a repeated strategy
     is solved once.
@@ -314,7 +309,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "z_score": report.z_score,
         "per_state_counts": list(report.per_state_counts),
         "per_receiver_success": [list(pair) for pair in report.per_receiver_success],
-        "predicted_per_receiver": [[s.p1, s.p2] for s in result.stages],
+        "predicted_per_receiver": [list(result.pair)] * inst.n_receivers,
     }
     _emit(payload)
     return EXIT_OK if abs(report.z_score) <= 4.0 else EXIT_STAT_FAIL

@@ -22,12 +22,13 @@ receiver faces the same effective overlap ``s**(1/N)`` and uses the same
 
     P = eta1 * p1**N + eta2 * p2**N   subject to   (*) with budget s**(1/N).
 
-This module holds the problem/result containers and all closed-form pieces of
-that reduced problem: the constraint, its solution branch p2(p1), the interior
-stationarity residual, the equal-prior symmetric solution, the per-receiver
-greedy (Helstrom) strategy, and the pinned boundary strategies. Everything
-is a pure function of its arguments (thread-safe by statelessness) in
-float64.
+A ``StrategyResult`` is that reduction: one pair and its joint, with the
+chain length taken from the instance. This module holds the problem/result
+containers and all closed-form pieces of that reduced problem: the
+constraint, its solution branch p2(p1), the interior stationarity residual,
+the equal-prior symmetric solution, the per-receiver greedy (Helstrom)
+strategy, and the pinned boundary strategies. Everything is a pure function
+of its arguments (thread-safe by statelessness) in float64.
 """
 
 from __future__ import annotations
@@ -134,26 +135,18 @@ class DiscriminationInstance:
 class StrategyResult:
     """A complete chain strategy.
 
-    stages
-        One SuccessPair per receiver, in chain order. Receiver k faces the
-        arriving-pair overlap ``overlap_ladder(s, N)[k]`` of the instance's
-        overlap s.
+    pair
+        The SuccessPair every receiver uses (the chain reduction). Receiver
+        k of the instance's N faces the arriving-pair overlap
+        ``overlap_ladder(s, N)[k]`` of its overlap s.
     joint_success
-        eta1 * prod(p1) + eta2 * prod(p2) for the instance it was built for.
+        eta1 * p1**N + eta2 * p2**N, to rounding, for the instance it was
+        built for.
     """
 
-    stages: tuple[SuccessPair, ...]
+    pair: SuccessPair
     joint_success: float
     strategy: Strategy
-
-    def recompute_joint(self, prior_1: float, prior_2: float) -> float:
-        """Joint success recomputed from the per-stage pairs."""
-        prod1 = 1.0
-        prod2 = 1.0
-        for stage in self.stages:
-            prod1 *= stage.p1
-            prod2 *= stage.p2
-        return prior_1 * prod1 + prior_2 * prod2
 
 
 def distinguishability(p1: float, p2: float) -> float:
@@ -230,22 +223,20 @@ def _symmetric_terms(s: float, n: int) -> tuple[float, float]:
     return p, math.prod(itertools.repeat(p, n))
 
 
-def equal_prior_jbg(s: float, n: int) -> StrategyResult:
+def equal_prior_jbg(inst: DiscriminationInstance) -> StrategyResult:
     """Symmetric equal-prior solution p1 = p2 = (1 + sqrt(1 - s**(2/N))) / 2.
 
     Satisfies the interior stationarity conditions for equal priors at every
     overlap, and is the global optimum below a chain-length-dependent overlap
     threshold (see ``optimize.find_sb``); above it, the interior optimum
     becomes asymmetric and this formula is only a local maximum. The result
-    is computed unconditionally and labeled JBG_SYMMETRIC_ANALYTIC; its joint
-    is p**N, the value at equal priors (``recompute_joint`` weights the stages
-    by an instance's priors).
+    is computed unconditionally, at any priors, and labeled
+    JBG_SYMMETRIC_ANALYTIC; its joint weights the product of the N stage
+    probabilities, taken in chain order, by the instance's priors.
     """
-    s = _check_unit_interval("s", s)
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_RECEIVERS:
-        raise ValueError(f"n must be an int in [1, MAX_RECEIVERS = {MAX_RECEIVERS}], got {n!r}")
-    p = _symmetric_p(s, n)
-    return _uniform_chain(n, p, p, p**n, Strategy.JBG_SYMMETRIC_ANALYTIC)
+    p, product = _symmetric_terms(inst.overlap, inst.n_receivers)
+    joint = inst.prior_1 * product + inst.prior_2 * product
+    return StrategyResult(SuccessPair(p, p), joint, Strategy.JBG_SYMMETRIC_ANALYTIC)
 
 
 def helstrom_bound(overlap: float, eta1: float, eta2: float) -> float:
@@ -287,7 +278,7 @@ def individual_greedy(inst: DiscriminationInstance) -> StrategyResult:
     p1, p2 = helstrom_success_pair(inst.effective_overlap, inst.prior_1, inst.prior_2)
     n = inst.n_receivers
     joint = inst.prior_1 * p1**n + inst.prior_2 * p2**n
-    return _uniform_chain(n, p1, p2, joint, Strategy.INDIVIDUAL_GREEDY)
+    return StrategyResult(SuccessPair(p1, p2), joint, Strategy.INDIVIDUAL_GREEDY)
 
 
 def _boundary_terms(s: float, n: int) -> tuple[float, float]:
@@ -303,17 +294,9 @@ def boundary_solution(inst: DiscriminationInstance) -> StrategyResult:
     mirrored for p1 = 1), giving joint successes eta1 * q**N + eta2 and
     eta1 + eta2 * q**N. Ties (equal priors) resolve to the p2 = 1 branch.
     """
-    n = inst.n_receivers
-    q, q_n = _boundary_terms(inst.overlap, n)
+    q, q_n = _boundary_terms(inst.overlap, inst.n_receivers)
     joint_pin2 = inst.prior_1 * q_n + inst.prior_2
     joint_pin1 = inst.prior_1 + inst.prior_2 * q_n
     if joint_pin1 > joint_pin2:
-        return _uniform_chain(n, 1.0, q, joint_pin1, Strategy.BOUNDARY)
-    return _uniform_chain(n, q, 1.0, joint_pin2, Strategy.BOUNDARY)
-
-
-def _uniform_chain(
-    n: int, p1: float, p2: float, joint: float, strategy: Strategy
-) -> StrategyResult:
-    """Chain of N receivers that all use the pair (p1, p2), with its joint."""
-    return StrategyResult((SuccessPair(p1, p2),) * n, joint, strategy)
+        return StrategyResult(SuccessPair(1.0, q), joint_pin1, Strategy.BOUNDARY)
+    return StrategyResult(SuccessPair(q, 1.0), joint_pin2, Strategy.BOUNDARY)

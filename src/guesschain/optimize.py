@@ -59,7 +59,6 @@ from .core import (
     _boundary_terms,
     _symmetric_p,
     _symmetric_terms,
-    _uniform_chain,
     helstrom_success_pair,
     p2_from_p1,
 )
@@ -185,18 +184,17 @@ class SweepGrid:
 
     Each method returns one strategy's cells as arrays indexed [i, j] for the
     instance ``DiscriminationInstance(overlaps[i], priors[j], n_receivers=n)``,
-    equal bit for bit to the first stage and joint of the scalar builder
-    there: ``optimal`` to ``optimize_reduced``, ``symmetric`` to
-    ``equal_prior_jbg`` reweighted by ``recompute_joint``, ``greedy`` to
-    ``individual_greedy`` and ``boundary`` to ``boundary_solution``. Values
-    that depend on the overlap alone (s_eff, phi, the symmetric p, the
-    boundary q, the phi/2 candidate) are computed once per row with the
-    scalar code. The rest follows the scalar operation order on arrays:
-    every cos, sin and power that reaches a cell comes from the C library, as
-    math gives it, and numpy computes only + - * /, sqrt and comparisons,
-    which IEEE 754 rounds correctly (the bisection's own rule is in
-    ``_bisect``). The axes are validated once, with the messages and in the
-    order that building each point's instance would give.
+    equal bit for bit to the pair and joint of the scalar builder there:
+    ``optimal`` to ``optimize_reduced``, ``symmetric`` to ``equal_prior_jbg``,
+    ``greedy`` to ``individual_greedy`` and ``boundary`` to
+    ``boundary_solution``. Values that depend on the overlap alone (s_eff,
+    phi, the symmetric p, the boundary q, the phi/2 candidate) are computed
+    once per row with the scalar code. The rest follows the scalar operation
+    order on arrays: every cos, sin and power that reaches a cell comes from
+    the C library, as math gives it, and numpy computes only + - * /, sqrt and
+    comparisons, which IEEE 754 rounds correctly (the bisection's own rule is
+    in ``_bisect``). The axes are validated once, with the messages and in
+    the order that building each point's instance would give.
     """
 
     def __init__(self, overlaps: Sequence[float], priors: Sequence[float], n: int) -> None:
@@ -220,7 +218,7 @@ class SweepGrid:
         return _pow(p.ravel().tolist(), self.n, p.size).reshape(p.shape)
 
     def optimal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p1, p2, joint) of ``optimize_reduced``: its stage pair and joint."""
+        """(p1, p2, joint) of ``optimize_reduced``: its pair and joint."""
         n, (rows, cols) = self.n, self.shape
         # optimize_reduced solves with the likelier prior as eta1 and mirrors back.
         mirror = self._prior_1 < self._prior_2
@@ -254,9 +252,8 @@ class SweepGrid:
         return np.where(mirror, p2, p1), np.where(mirror, p1, p2), joint
 
     def symmetric(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p, joint) of ``equal_prior_jbg``, whose p1 and p2 are both p,
-        with the joint ``recompute_joint`` gives at each prior; p has one
-        value per row, shape (rows, 1)."""
+        """(p, joint) of ``equal_prior_jbg``, whose p1 and p2 are both p; p
+        has one value per row, shape (rows, 1)."""
         p, product = np.array([_symmetric_terms(s, self.n) for s in self._overlaps]).T[:, :, None]
         return p, self._prior_1 * product + self._prior_2 * product
 
@@ -291,17 +288,18 @@ class SweepGrid:
 def optimize_reduced(inst: DiscriminationInstance) -> StrategyResult:
     """Globally optimal joint strategy via the reduced 1-D problem.
 
-    All receivers share one SuccessPair (the chain reduction), and the
-    arriving overlaps form the geometric ladder s**((N-k)/N). Swapping the
-    priors of an instance swaps (p1, p2) of the optimum bit-exactly: the
-    solver canonicalizes to prior_1 >= prior_2 and mirrors the result back.
+    All receivers share the result's one SuccessPair (the chain reduction),
+    and the arriving overlaps form the geometric ladder s**((N-k)/N).
+    Swapping the priors of an instance swaps (p1, p2) of the optimum
+    bit-exactly: the solver canonicalizes to prior_1 >= prior_2 and mirrors
+    the result back.
     """
     n, s_eff = inst.n_receivers, inst.effective_overlap
     if inst.prior_1 >= inst.prior_2:
         p1, p2, joint = _solve_reduced(s_eff, n, inst.prior_1, inst.prior_2)
     else:
         p2, p1, joint = _solve_reduced(s_eff, n, inst.prior_2, inst.prior_1)
-    return _uniform_chain(n, p1, p2, joint, Strategy.JBG_OPTIMAL)
+    return StrategyResult(SuccessPair(p1, p2), joint, Strategy.JBG_OPTIMAL)
 
 
 def grid_search_oracle(inst: DiscriminationInstance, resolution: int) -> StrategyResult:
@@ -321,7 +319,7 @@ def grid_search_oracle(inst: DiscriminationInstance, resolution: int) -> Strateg
     p1 = math.cos(theta) ** 2
     p2 = p2_from_p1(p1, s_eff)
     joint = inst.prior_1 * p1**n + inst.prior_2 * p2**n
-    return StrategyResult((SuccessPair(p1, p2),) * n, joint, Strategy.JBG_OPTIMAL)
+    return StrategyResult(SuccessPair(p1, p2), joint, Strategy.JBG_OPTIMAL)
 
 
 def _branch_pairs(p1: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,7 +478,8 @@ def find_sb(n: int) -> float:
 
     def symmetric_beaten(s: float) -> bool:
         inst = DiscriminationInstance(overlap=s, prior_1=0.5, n_receivers=n)
-        # _symmetric_p(s, n) ** n is equal_prior_jbg(s, n).joint_success.
+        # The equal-prior joint as p**N, kept bit for bit: equal_prior_jbg's
+        # chain-order product can differ from it in the last bits.
         gap = optimize_reduced(inst).joint_success - _symmetric_p(s, n) ** n
         return gap > CANDIDATE_TOLERANCE
 

@@ -215,7 +215,10 @@ def _amplitudes(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
         r_b, w_b = math.cos(rest), math.sin(rest)
     r1, w1, r2, w2 = (r_b, w_b, r_a, w_a) if swap else (r_a, w_a, r_b, w_b)
     required = (r1 * w2 + w1 * r2) * out_overlap
-    if abs(required - in_overlap) > FEASIBILITY_ATOL:
+    # Relative to t_in <= 1: never looser than an absolute bound, and no free
+    # pass for a tiny t_in. The two ulps of 0.0 admit the rounding of
+    # subnormal ladder overlaps, which are multiples of 5e-324. NaN fails too.
+    if not abs(required - in_overlap) <= FEASIBILITY_ATOL * in_overlap + 2 * math.ulp(0.0):
         raise InfeasibleStage(
             f"overlap budget violated: distinguishability * t_out = {required!r} "
             f"but t_in = {in_overlap!r}"
@@ -231,8 +234,8 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
     output orientation is free; fixing it keeps stages composable and tests
     deterministic). Raises InfeasibleStage when
     distinguishability(p1, p2) * out_overlap deviates from the input overlap
-    by more than 1e-9, and DegenerateInput when identical input states are
-    asked to produce distinct outputs.
+    by more than 1e-9 times it (plus two subnormal ulps), and DegenerateInput
+    when identical input states are asked to produce distinct outputs.
     """
     in_overlap = _check_unit_interval("in_overlap", in_overlap)
     out_overlap = _check_unit_interval("out_overlap", out_overlap)
@@ -269,19 +272,19 @@ def build_stage(in_overlap: float, success: SuccessPair, out_overlap: float) -> 
 def build_chain(inst: DiscriminationInstance, result: StrategyResult) -> list[MeasurementStage]:
     """Measurement stages realizing ``result`` along the whole chain.
 
-    Stage k consumes the canonical pair of overlap overlap_ladder(s, N)[k] and
-    emits the canonical pair of the next overlap; the final receiver merges
-    its outputs (out_overlap = 1), since nothing downstream constrains it. A
-    result built for another overlap misses some stage's budget
-    (InfeasibleStage), unless ``validate`` refuses an earlier stage.
+    Each of the instance's N receivers uses ``result.pair``. Stage k consumes
+    the canonical pair of overlap overlap_ladder(s, N)[k] and emits the
+    canonical pair of the next overlap; the final receiver merges its outputs
+    (out_overlap = 1), since nothing downstream constrains it. A result built
+    for another overlap or N misses stage 1's budget (InfeasibleStage), as
+    every stage has the same ratio t_in / t_out; at s = 0 only the last
+    stage, from overlap 0 to 1, has a budget to miss.
     """
-    if len(result.stages) != inst.n_receivers:
-        raise ValueError(f"strategy has {len(result.stages)} stages for {inst.n_receivers} receivers")
     ladder = overlap_ladder(inst.overlap, inst.n_receivers) + (1.0,)
     stages = []
-    for k, success in enumerate(result.stages):
+    for k in range(inst.n_receivers):
         try:
-            stages.append(build_stage(ladder[k], success, ladder[k + 1]))
+            stages.append(build_stage(ladder[k], result.pair, ladder[k + 1]))
         except ValueError as exc:
             raise type(exc)(f"stage {k + 1} of {inst.n_receivers}: {exc}") from exc
     return stages

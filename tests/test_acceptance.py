@@ -67,7 +67,7 @@ def test_criterion_1_symmetric_closed_form(thresholds):
             inst = DiscriminationInstance(float(s), 0.5, n_receivers=n)
             dev = abs(
                 optimize_reduced(inst).joint_success
-                - equal_prior_jbg(float(s), n).joint_success
+                - equal_prior_jbg(inst).joint_success
             )
             worst = max(worst, dev)
     elapsed = time.monotonic() - start
@@ -182,8 +182,8 @@ def test_criterion_6_monte_carlo_agreement():
         scores = [abs(report.z_score)]
         for k, (given1, given2) in enumerate(report.per_receiver_success):
             for empirical, predicted, count in (
-                (given1, result.stages[k].p1, report.per_state_counts[0]),
-                (given2, result.stages[k].p2, report.per_state_counts[1]),
+                (given1, result.pair.p1, report.per_state_counts[0]),
+                (given2, result.pair.p2, report.per_state_counts[1]),
             ):
                 sigma = math.sqrt(max(predicted * (1.0 - predicted), 0.0) / count)
                 if sigma > 0.0:
@@ -227,7 +227,7 @@ def test_criterion_8_prior_washout():
     details = []
     for s in (0.3, 0.4, 0.5):
         inst = DiscriminationInstance(s, 1e-4, n_receivers=2)
-        stage = optimize_reduced(inst).stages[0]
+        stage = optimize_reduced(inst).pair
         ok &= stage.p2 >= 1.0 - 1e-3 and abs(stage.p1 - (1.0 - s)) <= 1e-2
         details.append(f"s={s}: p1={stage.p1:.4f}, p2={stage.p2:.6f}")
     _verdict(8, "prior washout", ok, "; ".join(details))

@@ -61,7 +61,7 @@ def _reference_payload(inst, result, stages=None):
         "prior_2": inst.prior_2,
         "receivers": inst.n_receivers,
         "strategy": result.strategy.name,
-        "stages": [{"p1": s.p1, "p2": s.p2} for s in result.stages],
+        "stages": [{"p1": result.pair.p1, "p2": result.pair.p2}] * inst.n_receivers,
         "overlaps": list(overlap_ladder(inst.overlap, inst.n_receivers)),
         "joint_success": result.joint_success,
     }
@@ -406,15 +406,12 @@ class TestOptimizeCommand:
         json writes them, in every list of the payload but the overlaps and in
         its head; the stages share the head's overlap 0.5."""
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
-        result = StrategyResult(
-            stages=(SuccessPair(0.0, -0.0), SuccessPair(math.nan, 5e-324)),
-            joint_success=float("nan"),
-            strategy=Strategy.BOUNDARY,
-        )
         stages = [_odd_stage(in_overlap=0.5), _odd_stage()]
-        for emitted in (stages, None):
-            expected = json.dumps(_reference_payload(inst, result, emitted), indent=2)
-            assert cli._optimize_text(inst, result, emitted) == expected
+        for pair, joint in ((SuccessPair(0.0, -0.0), math.nan), (SuccessPair(math.nan, 5e-324), -math.inf)):
+            result = StrategyResult(pair=pair, joint_success=joint, strategy=Strategy.BOUNDARY)
+            for emitted in (stages, None):
+                expected = json.dumps(_reference_payload(inst, result, emitted), indent=2)
+                assert cli._optimize_text(inst, result, emitted) == expected
 
     def test_stages_splice_into_the_payload(self, monkeypatch):
         stages = [_odd_stage(), _odd_stage(in_overlap=0.5)]
@@ -573,7 +570,8 @@ class TestSweepCommand:
                 cells = [s, prior]
                 for strategy in strategies:
                     result = cli._solve(inst, strategy)
-                    cells += [result.joint_success, *result.stages[0]]
+                    assert result.strategy is strategy
+                    cells += [result.joint_success, *result.pair]
                 expected.append([x.hex() for x in cells])
         assert [[float(t).hex() for t in row.split(",")] for row in rows] == expected
 

@@ -1,19 +1,17 @@
 """Closed-form layer: constraint function, branches, stationarity, strategies."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from guesschain import (
     DiscriminationInstance,
     MAX_RECEIVERS,
     Strategy,
     boundary_solution,
-    cli,
     distinguishability,
     equal_prior_jbg,
     helstrom_bound,
@@ -168,25 +166,26 @@ class TestStationarityResidual:
 
 class TestEqualPriorSolution:
     def test_orthogonal_states_are_free(self):
-        result = equal_prior_jbg(0.0, 3)
+        result = equal_prior_jbg(DiscriminationInstance(0.0, 0.5, 3))
         assert result.joint_success == 1.0
-        assert all(stage == (1.0, 1.0) for stage in result.stages)
+        assert result.pair == (1.0, 1.0)
 
     def test_identical_states_force_guessing(self):
-        result = equal_prior_jbg(1.0, 2)
+        result = equal_prior_jbg(DiscriminationInstance(1.0, 0.5, 2))
         assert result.joint_success == pytest.approx(0.25, abs=1e-15)
-        assert all(stage == (0.5, 0.5) for stage in result.stages)
+        assert result.pair == (0.5, 0.5)
 
     def test_frozen_two_receiver_value(self):
-        result = equal_prior_jbg(0.25, 2)
+        result = equal_prior_jbg(DiscriminationInstance(0.25, 0.5, 2))
         assert result.joint_success == pytest.approx(0.8705127018922193, abs=1e-15)
-        assert result.stages[0].p1 == pytest.approx(0.9330127018922193, abs=1e-15)
+        assert result.pair.p1 == pytest.approx(0.9330127018922193, abs=1e-15)
         assert result.strategy is Strategy.JBG_SYMMETRIC_ANALYTIC
 
     def test_single_receiver_reduces_to_helstrom(self):
         for s in np.linspace(0.0, 1.0, 101):
             expected = 0.5 * (1.0 + math.sqrt(1.0 - float(s) ** 2))
-            assert equal_prior_jbg(float(s), 1).joint_success == expected
+            inst = DiscriminationInstance(float(s), 0.5, 1)
+            assert equal_prior_jbg(inst).joint_success == expected
 
     def test_overlap_ladder(self):
         np.testing.assert_allclose(overlap_ladder(0.25, 2), (0.25, 0.5), atol=1e-15)
@@ -195,11 +194,15 @@ class TestEqualPriorSolution:
             ladder = overlap_ladder(s, n)
             assert all(a <= b + 1e-15 for a, b in zip(ladder, ladder[1:]))
 
-    def test_joint_recomputable_from_stages(self):
-        result = equal_prior_jbg(0.37, 4)
-        assert result.recompute_joint(0.5, 0.5) == pytest.approx(
-            result.joint_success, abs=1e-12
-        )
+    def test_joint_weights_the_chain_order_product(self):
+        for overlap, n in ((0.37, 4), (0.9, 7), (1e-3, 200)):
+            for prior in (0.5, 0.3, 1e-6, 0.0, 1.0):
+                inst = DiscriminationInstance(overlap, prior, n)
+                result = equal_prior_jbg(inst)
+                p = result.pair.p1
+                product = math.prod(itertools.repeat(p, n))
+                assert result.pair == (p, p)
+                assert result.joint_success == inst.prior_1 * product + inst.prior_2 * product
 
 
 def _helstrom_projector_pair(overlap, eta1, eta2):
@@ -250,21 +253,21 @@ class TestIndividualGreedy:
     def test_equal_priors_reduce_to_symmetric_point(self):
         inst = DiscriminationInstance(0.3, 0.5, n_receivers=3)
         greedy = individual_greedy(inst)
-        symmetric = equal_prior_jbg(0.3, 3)
-        np.testing.assert_allclose(greedy.stages[0], symmetric.stages[0], atol=1e-14)
+        symmetric = equal_prior_jbg(inst)
+        np.testing.assert_allclose(greedy.pair, symmetric.pair, atol=1e-14)
 
     def test_certain_prior(self):
         inst = DiscriminationInstance(0.5, 1.0, n_receivers=2)
         greedy = individual_greedy(inst)
         s2 = 0.5  # s**(2/N)
-        assert greedy.stages[0].p1 == 1.0
-        assert greedy.stages[0].p2 == pytest.approx(1.0 - s2, abs=1e-15)
+        assert greedy.pair.p1 == 1.0
+        assert greedy.pair.p2 == pytest.approx(1.0 - s2, abs=1e-15)
         assert greedy.joint_success == pytest.approx(1.0, abs=1e-15)
 
     def test_frozen_unequal_prior_value(self):
         inst = DiscriminationInstance(0.5, 0.3, n_receivers=2)
         greedy = individual_greedy(inst)
-        stage = greedy.stages[0]
+        stage = greedy.pair
         average = 0.3 * stage.p1 + 0.7 * stage.p2
         assert average == pytest.approx(0.8807886552931954, abs=1e-12)
         assert greedy.joint_success == pytest.approx(0.790271413913885, abs=1e-14)
@@ -274,14 +277,14 @@ class TestIndividualGreedy:
             for eta1 in np.linspace(0.0, 1.0, 11):
                 for n in (1, 2, 4):
                     inst = DiscriminationInstance(float(s), float(eta1), n_receivers=n)
-                    stage = individual_greedy(inst).stages[0]
+                    stage = individual_greedy(inst).pair
                     average = eta1 * stage.p1 + (1.0 - eta1) * stage.p2
                     expected = helstrom_bound(inst.effective_overlap, float(eta1), 1.0 - float(eta1))
                     assert average == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_identical_states(self):
         inst = DiscriminationInstance(1.0, 0.5, n_receivers=2)
-        assert individual_greedy(inst).stages[0] == (0.5, 0.5)
+        assert individual_greedy(inst).pair == (0.5, 0.5)
 
 
 class TestBoundarySolution:
@@ -289,7 +292,7 @@ class TestBoundarySolution:
         inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
         result = boundary_solution(inst)
         assert result.joint_success == pytest.approx(0.625, abs=1e-15)
-        assert result.stages[0] == (0.5, 1.0)
+        assert result.pair == (0.5, 1.0)
         assert result.strategy is Strategy.BOUNDARY
 
     def test_orthogonal_states(self):
@@ -299,42 +302,11 @@ class TestBoundarySolution:
         inst = DiscriminationInstance(1.0, 0.3, n_receivers=1)
         result = boundary_solution(inst)
         assert result.joint_success == pytest.approx(0.7, abs=1e-15)
-        assert result.stages[0] == (0.0, 1.0)
+        assert result.pair == (0.0, 1.0)
 
     def test_picks_the_better_side(self):
         lopsided = boundary_solution(DiscriminationInstance(0.5, 0.9, n_receivers=2))
-        assert lopsided.stages[0].p1 == 1.0  # pin the likelier state
-
-
-class TestUniformChains:
-    """Every strategy, as ``optimize`` solves it, is a chain of N receivers
-    that share one pair, with an arriving overlap for each."""
-
-    OVERLAPS = st.one_of(
-        st.sampled_from((0.0, 1.0)),
-        st.floats(-30.0, -6.0).map(lambda e: 10.0**e),
-        st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0**e),
-        st.floats(0.0, 1.0),
-    )
-    PRIORS = st.one_of(
-        st.sampled_from((0.0, 0.5, 1.0)),
-        st.builds(
-            lambda sign, k: 0.5 + sign * k * math.ulp(0.5),
-            st.sampled_from((-1.0, 1.0)),
-            st.integers(1, 40),
-        ),
-        st.floats(0.0, 1.0),
-    )
-
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(1, 200), overlap=OVERLAPS, prior=PRIORS)
-    def test_every_builder_is_a_uniform_chain(self, n, overlap, prior):
-        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
-        for strategy in Strategy:
-            result = cli._solve(inst, strategy)
-            assert result.strategy is strategy
-            assert result.stages == (result.stages[0],) * n
-        assert len(overlap_ladder(overlap, n)) == n
+        assert lopsided.pair.p1 == 1.0  # pin the likelier state
 
 
 class TestDiscriminationInstance:
@@ -357,9 +329,6 @@ class TestDiscriminationInstance:
         for n in (MAX_RECEIVERS + 1, 2**61, 10**20):
             with pytest.raises(ValueError, match=f"MAX_RECEIVERS = {MAX_RECEIVERS}, got {n}$"):
                 DiscriminationInstance(0.5, 0.3, n)
-            with pytest.raises(ValueError, match=f"MAX_RECEIVERS = {MAX_RECEIVERS}"):
-                equal_prior_jbg(0.5, n)
-        assert len(equal_prior_jbg(0.5, MAX_RECEIVERS).stages) == MAX_RECEIVERS
 
     def test_effective_overlap(self):
         inst = DiscriminationInstance(0.25, 0.5, n_receivers=2)

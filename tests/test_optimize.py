@@ -83,15 +83,15 @@ class TestOptimizeReduced:
         result = optimize_reduced(inst)
         assert result.joint_success == pytest.approx(0.7285533905932737, abs=1e-12)
         np.testing.assert_allclose(
-            result.stages[0], (0.8535533905932737, 0.8535533905932737), atol=1e-9
+            result.pair, (0.8535533905932737, 0.8535533905932737), atol=1e-9
         )
         assert result.strategy is Strategy.JBG_OPTIMAL
 
     def test_certain_prior_is_free(self):
         inst = DiscriminationInstance(0.7, 1.0, n_receivers=3)
         result = optimize_reduced(inst)
-        assert result.stages[0].p1 == pytest.approx(1.0, abs=1e-12)
-        assert result.stages[0].p2 == pytest.approx(
+        assert result.pair.p1 == pytest.approx(1.0, abs=1e-12)
+        assert result.pair.p2 == pytest.approx(
             1.0 - 0.7 ** (2.0 / 3.0), abs=1e-9
         )
         assert result.joint_success == pytest.approx(1.0, abs=1e-12)
@@ -99,7 +99,7 @@ class TestOptimizeReduced:
     def test_asymmetric_regime_beats_symmetric_formula(self):
         inst = DiscriminationInstance(0.9, 0.5, n_receivers=2)
         result = optimize_reduced(inst)
-        symmetric = equal_prior_jbg(0.9, 2)
+        symmetric = equal_prior_jbg(inst)
         assert result.joint_success > symmetric.joint_success + 1e-3
         # independent confirmation by plain exhaustive scan
         oracle = grid_search_oracle(inst, 2_000_001)
@@ -114,7 +114,7 @@ class TestOptimizeReduced:
                 float(rng.uniform(0.0, 1.0)),
                 n_receivers=int(rng.integers(1, 6)),
             )
-            stage = optimize_reduced(inst).stages[0]
+            stage = optimize_reduced(inst).pair
             assert distinguishability(*stage) == pytest.approx(
                 inst.effective_overlap, abs=1e-9
             )
@@ -123,8 +123,8 @@ class TestOptimizeReduced:
         a = optimize_reduced(DiscriminationInstance(0.6, 0.3, n_receivers=3))
         b = optimize_reduced(DiscriminationInstance(0.6, 0.7, n_receivers=3))
         assert a.joint_success == b.joint_success
-        assert a.stages[0].p1 == b.stages[0].p2
-        assert a.stages[0].p2 == b.stages[0].p1
+        assert a.pair.p1 == b.pair.p2
+        assert a.pair.p2 == b.pair.p1
 
     def test_dominates_alternative_strategies(self):
         rng = np.random.default_rng(17)
@@ -163,7 +163,7 @@ class TestOptimizeReduced:
             last_p1 = None
             for eta1 in (1e-2, 1e-3, 1e-4):
                 inst = DiscriminationInstance(s, eta1, n_receivers=2)
-                stage = optimize_reduced(inst).stages[0]
+                stage = optimize_reduced(inst).pair
                 drift = abs(stage.p1 - (1.0 - s))
                 if last_p1 is not None:
                     assert drift <= last_p1 + 1e-12
@@ -180,19 +180,19 @@ class TestOptimizeReduced:
             for prior in (0.5, 0.5000000000000001, 0.50000000001):
                 p1, p2 = optimize_reduced(
                     DiscriminationInstance(float(s), prior, n_receivers=n)
-                ).stages[0]
+                ).pair
                 assert p1 >= p2
                 if prior > 0.5:
                     p1, p2 = optimize_reduced(
                         DiscriminationInstance(float(s), 1.0 - prior, n_receivers=n)
-                    ).stages[0]
+                    ).pair
                     assert p1 <= p2
 
     def test_identical_states_single_receiver(self):
         result = optimize_reduced(DiscriminationInstance(1.0, 0.5, n_receivers=1))
         assert result.joint_success == pytest.approx(0.5, abs=1e-12)
         # tie resolves to the symmetric guessing point
-        assert result.stages[0] == pytest.approx((0.5, 0.5), abs=1e-9)
+        assert result.pair == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_maximum_inside_first_scan_cell_beats_greedy(self):
         # the interior optimum lies within half a scan cell of theta1 = 0
@@ -218,7 +218,7 @@ class TestOptimizeReduced:
         result = optimize_reduced(inst)
         assert result.joint_success >= oracle.joint_success - CANDIDATE_TOLERANCE
         # the likelier state never gets the smaller success probability
-        p1, p2 = result.stages[0]
+        p1, p2 = result.pair
         if inst.prior_1 > inst.prior_2:
             assert p1 >= p2
         if inst.prior_2 > inst.prior_1:
@@ -243,14 +243,14 @@ class TestOptimizeReduced:
         # eta2 = 0: the residual is >= 0 on all of [0, phi/2], so theta1 = 0
         certain_1 = optimize_reduced(DiscriminationInstance(overlap, 1.0, n_receivers=n))
         certain_2 = optimize_reduced(DiscriminationInstance(overlap, 0.0, n_receivers=n))
-        assert certain_1.stages[0].p1 == 1.0
-        assert certain_2.stages[0].p2 == 1.0
+        assert certain_1.pair.p1 == 1.0
+        assert certain_2.pair.p2 == 1.0
 
     @pytest.mark.parametrize("n", (1, 2, 8, 200))
     @pytest.mark.parametrize("prior", (0.0, 0.3, 0.5, 1.0))
     def test_orthogonal_states_are_both_guessed_right(self, n, prior):
         result = optimize_reduced(DiscriminationInstance(0.0, prior, n_receivers=n))
-        assert tuple(result.stages[0]) == (1.0, 1.0)
+        assert tuple(result.pair) == (1.0, 1.0)
         assert result.joint_success == 1.0
 
     @pytest.mark.parametrize("n", (2, 3, 5, 8, 16, 32, 200))
@@ -261,7 +261,7 @@ class TestOptimizeReduced:
             s_eff = float(s) ** (1.0 / n)
             p = math.cos(0.5 * math.asin(s_eff)) ** 2
             q = p2_from_p1(p, s_eff)
-            assert tuple(result.stages[0]) == (max(p, q), min(p, q))
+            assert tuple(result.pair) == (max(p, q), min(p, q))
 
 
 # An 81x81 (overlap, prior) sweep grid, and the (overlap, prior) indices of
@@ -280,7 +280,7 @@ def _grid81_singles(n):
     """float.hex of optimize_reduced's (p1, p2, joint) at every GRID81 x GRID81
     point, row-major."""
     return [
-        _hexes(*result.stages[0], result.joint_success)
+        _hexes(*result.pair, result.joint_success)
         for result in (
             optimize_reduced(DiscriminationInstance(s, prior, n_receivers=n))
             for s in GRID81
@@ -334,7 +334,7 @@ class TestSweepGridOptimal:
             for s in overlaps
             for prior in priors
         ]
-        assert got == [_hexes(*r.stages[0], r.joint_success) for r in singles]
+        assert got == [_hexes(*r.pair, r.joint_success) for r in singles]
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_sweep_grid_bit_identical_to_single_solves(self, n):

@@ -182,7 +182,7 @@ class TestBuildStage:
 class TestBuildChain:
     def test_two_receiver_symmetric_chain(self):
         inst = DiscriminationInstance(0.25, 0.5, n_receivers=2)
-        stages = build_chain(inst, equal_prior_jbg(0.25, 2))
+        stages = build_chain(inst, equal_prior_jbg(inst))
         assert len(stages) == 2
         np.testing.assert_allclose(
             [stage.in_overlap for stage in stages], [0.25, 0.5], atol=1e-12
@@ -246,10 +246,28 @@ class TestBuildChain:
 
     def test_mismatched_strategy_rejected(self):
         inst = DiscriminationInstance(0.5, 0.5, n_receivers=2)
-        with pytest.raises(ValueError):
-            build_chain(inst, equal_prior_jbg(0.7, 2))
-        with pytest.raises(ValueError):
-            build_chain(inst, equal_prior_jbg(0.5, 3))
+        for other in (DiscriminationInstance(0.7, 0.5, 2), DiscriminationInstance(0.5, 0.5, 3)):
+            with pytest.raises(InfeasibleStage, match="^stage 1 of 2: overlap budget"):
+                build_chain(inst, equal_prior_jbg(other))
+
+    @pytest.mark.parametrize(
+        "inst, other",
+        [
+            # The budget miss at stage 1 is about 4e-266: an absolute bound of
+            # 1e-9 would pass it and leave the chain to validate() at stage 73.
+            (
+                DiscriminationInstance(1.2974737650090207e-269, 1e-06, 76),
+                DiscriminationInstance(0.5, 1e-06, 76),
+            ),
+            # A result for N + 1 receivers: stage 1 gives 4.6e-20 for t_in = 1e-20.
+            (DiscriminationInstance(1e-20, 0.3, 5), DiscriminationInstance(1e-20, 0.3, 6)),
+        ],
+        ids=("tiny-overlap", "other-n"),
+    )
+    def test_foreign_result_misses_the_first_budget_at_tiny_overlaps(self, inst, other):
+        n = inst.n_receivers
+        with pytest.raises(InfeasibleStage, match=f"^stage 1 of {n}: overlap budget"):
+            build_chain(inst, individual_greedy(other))
 
 
 def _completeness_defect(stage):
@@ -261,7 +279,8 @@ SOLVERS = (optimize_reduced, individual_greedy, boundary_solution)
 
 
 def symmetric_solution(inst):
-    return equal_prior_jbg(inst.overlap, inst.n_receivers)
+    """``equal_prior_jbg`` under the name the parametrized test ids carry."""
+    return equal_prior_jbg(inst)
 
 
 class TestChainLadder:
@@ -279,14 +298,13 @@ class TestChainLadder:
         assert [stage.in_overlap.hex() for stage in stages] == ladder
         assert [stage.out_overlap.hex() for stage in stages] == [*ladder[1:], (1.0).hex()]
         # A result built for an overlap whose budget s**(1/N) differs by more
-        # than 1e-3 is refused, and the budget checks alone refuse it.
+        # than 1e-3 misses stage 1's budget, or at s = 0 (where every stage
+        # but the last maps overlap 0 to 0) the last stage's.
         other = 0.5 * overlap if overlap >= 0.5 else 0.5 * (1.0 + overlap)
         foreign = solver(DiscriminationInstance(other, prior, n_receivers=n))
-        with pytest.raises(ValueError):
+        k = 1 if overlap > 0.0 else n
+        with pytest.raises(InfeasibleStage, match=f"^stage {k} of {n}: overlap budget"):
             build_chain(inst, foreign)
-        with mock.patch.object(MeasurementStage, "validate", lambda stage: None):
-            with pytest.raises(InfeasibleStage):
-                build_chain(inst, foreign)
 
 
 class TestChainConditioning:
@@ -307,6 +325,22 @@ class TestChainConditioning:
                 assert all(type(x) is float for row in det for x in row)
             for state in stage.outputs:
                 assert all(type(x) is float for x in state.amplitudes)
+
+    @pytest.mark.parametrize("solver", (*SOLVERS, symmetric_solution), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "overlap, prior, n",
+        [
+            (2.55e-321, 0.47562796423480924, 155),
+            (1.05e-321, 0.3967858801865408, 187),
+            (1.5e-323, 1e-06, 823),
+            (2.21e-321, 1.0, 989),
+        ],
+    )
+    def test_subnormal_ladder_builds(self, overlap, prior, n, solver):
+        # The first overlaps of the ladder are subnormal, each rounded to a
+        # multiple of 5e-324: a budget miss of one such ulp is no violation.
+        inst = DiscriminationInstance(overlap, prior, n_receivers=n)
+        assert len(build_chain(inst, solver(inst))) == n
 
     @pytest.mark.parametrize(
         "overlap, prior",
@@ -567,7 +601,7 @@ class TestValidateMatchesReference:
         k = min(int(position * n), n - 1)
         with mock.patch.object(MeasurementStage, "validate", lambda stage: None):
             try:
-                stage = build_stage(ladder[k], result.stages[k], ladder[k + 1])
+                stage = build_stage(ladder[k], result.pair, ladder[k + 1])
             except ValueError:  # the budget check, before any detector exists
                 return
         d, i, j = cell
@@ -598,3 +632,28 @@ def test_module_imports_no_numpy(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module)
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(importlib.import_module("guesschain").__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_module_reads_every_import(path):
+    """Each name a module-level import binds is read in that module or listed
+    in its ``__all__``, so no import outlives its last use."""
+    tree = ast.parse(path.read_text())
+    bound, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(bound - read - exported) == []

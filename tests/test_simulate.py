@@ -373,7 +373,7 @@ def _where_tally(inst, stages, cfg):
 
 STRATEGIES = {
     "JBG_OPTIMAL": optimize_reduced,
-    "JBG_SYMMETRIC_ANALYTIC": lambda inst: equal_prior_jbg(inst.overlap, inst.n_receivers),
+    "JBG_SYMMETRIC_ANALYTIC": equal_prior_jbg,
     "INDIVIDUAL_GREEDY": individual_greedy,
     "BOUNDARY": boundary_solution,
 }
@@ -482,8 +482,8 @@ class TestStatistics:
         assert len(report.per_receiver_success) == 3
         for k, (given1, given2) in enumerate(report.per_receiver_success):
             for empirical, predicted, count in (
-                (given1, result.stages[k].p1, report.per_state_counts[0]),
-                (given2, result.stages[k].p2, report.per_state_counts[1]),
+                (given1, result.pair.p1, report.per_state_counts[0]),
+                (given2, result.pair.p2, report.per_state_counts[1]),
             ):
                 sigma = math.sqrt(predicted * (1.0 - predicted) / count)
                 assert abs(empirical - predicted) <= 4.0 * max(sigma, 1e-12)
